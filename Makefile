@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-repo check bench bench-smoke serve-smoke redteam-smoke temporal-differential
+.PHONY: build test race vet fmt lint lint-repo check bench bench-pass bench-snapshot bench-smoke serve-smoke redteam-smoke temporal-differential
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,33 @@ lint-repo:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# One pass over every row of the BENCH_*.json snapshots, as raw `go test
+# -bench` text: the paper's Figure 5/6 rows from the root package and each
+# layer's microbenchmarks from the package they time. Settings are fixed so
+# that passes over two trees compare. A -bench pattern deeper than a
+# benchmark's name runs only its sub-benchmarks, hence one line per depth.
+bench-pass:
+	@run() { $(GO) test -run '^$$' -benchmem -benchtime 10ms -count 10 -bench "$$@" || exit 1; }; \
+	run '^Benchmark(Fig5SingleThread|Fig6MultiThread)$$//^(n=2\^12|same-array|different-arrays)$$' .; \
+	run '^Benchmark(Fig5Elision|TagAllocRelease|TagFootprint)$$' .; \
+	run '^BenchmarkLoad64(Checked|Unguarded)$$' ./internal/mem; \
+	run '^Benchmark(CopyOutChecked|CopyOutUnguarded|MoveChecked|SetTagRange)$$/^n=16384$$' ./internal/mem; \
+	run '^BenchmarkAllocFree(Serial|Parallel8)$$/^size=256$$' ./internal/heap; \
+	run '^Benchmark(ScreenInline|Throughput)$$' ./internal/analysis ./internal/pool
+
+# A benchmark snapshot (~7 min): ten bench-pass runs, folded by `mte4jni
+# bench -parse` into one row per benchmark (its fastest run, with the
+# spread across runs) and printed as snapshot JSON. On a shared host the
+# fastest run is the one that caught the host quiet, and quiet stretches
+# come and go within a second, so each row gets many short runs: ten back
+# to back per pass, over ten passes minutes apart. With five 200 ms runs,
+# ten 100 ms runs or fifty 20 ms runs per row, identical code still came
+# out 11-30% apart on some rows of a 2-vCPU host.
+bench-snapshot:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for pass in 1 2 3 4 5 6 7 8 9 10; do $(MAKE) -s bench-pass || exit 1; done >"$$tmp/bench.txt" && \
+	$(GO) run ./cmd/mte4jni bench -parse "$$tmp/bench.txt"
 
 # Quick perf sanity: the paper's Figure 5/6 benchmarks plus the elided-vs-
 # checked proof-carrying pair at -benchtime=10x, and the zero-allocation

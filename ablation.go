@@ -135,7 +135,11 @@ func RunHashTableAblation(ks []int, o Fig6Options) (*HashTableAblationResult, er
 	res := &HashTableAblationResult{Ks: ks}
 	base := time.Duration(0)
 	for _, k := range ks {
-		d, err := fig6RunWithHashTables(k, o)
+		s, err := newHashTableSetup(k, o)
+		if err != nil {
+			return nil, err
+		}
+		d, err := s.measure(o)
 		if err != nil {
 			return nil, err
 		}
@@ -158,12 +162,11 @@ func RunHashTableAblation(ks []int, o Fig6Options) (*HashTableAblationResult, er
 	return res, nil
 }
 
-// fig6RunWithHashTables runs the different-arrays Figure 6 test with a
-// custom k.
-func fig6RunWithHashTables(k int, o Fig6Options) (time.Duration, error) {
+// newHashTableSetup builds the different-arrays Figure 6 test under
+// MTE4JNI+Sync with two-tier locking over k hash tables.
+func newHashTableSetup(k int, o Fig6Options) (*fig6Setup, error) {
 	v := Fig6Variant{Display: fmt.Sprintf("k=%d", k), Scheme: MTESync, Locking: TwoTierLocking}
-	d, _, err := fig6RunConfigured(v, false, o, k)
-	return d, err
+	return newFig6Setup(v, false, o, k)
 }
 
 // TagCollisionResult is the Extra C experiment: the probability that an OOB

@@ -123,10 +123,77 @@ func BenchmarkFig5Elision(b *testing.B) {
 	}
 }
 
+// Elision benchmark program shape: a 64-iteration loop over 16 proven
+// in-bounds aget and 16 aput sites on an int[16], then one in-payload
+// native call — every heap access in it elides under the compiled mask.
+const (
+	elisionBenchArrLen = 16
+	elisionBenchSites  = 16
+	elisionBenchLoops  = 64
+	// Bytes of proven array traffic per run: 4 bytes per access, one aget
+	// and one aput per site per loop iteration.
+	elisionBenchBytesPerOp = int64(elisionBenchLoops * elisionBenchSites * 2 * 4)
+)
+
+// elisionBenchProgram builds the proof-carrying elision benchmark input: a
+// screened-safe program whose hot loop is nothing but statically proven
+// in-bounds array traffic. Under the elision mask every access dispatches
+// as a guard-free superinstruction; fully checked, every access pays the
+// SWAR tag compare — the pair isolates what the proofs buy.
+func elisionBenchProgram() *analysis.Program {
+	code := []interp.Inst{
+		{Op: interp.OpConst, A: elisionBenchArrLen},
+		{Op: interp.OpNewArray, A: 0},
+		{Op: interp.OpConst, A: elisionBenchLoops},
+		{Op: interp.OpStore, A: 0},
+	}
+	loopStart := int64(len(code))
+	for i := 0; i < elisionBenchSites; i++ {
+		idx := int64(i % elisionBenchArrLen)
+		code = append(code,
+			interp.Inst{Op: interp.OpConst, A: idx},
+			interp.Inst{Op: interp.OpArrayGet, A: 0},
+			interp.Inst{Op: interp.OpStore, A: 1},
+			interp.Inst{Op: interp.OpConst, A: idx},
+			interp.Inst{Op: interp.OpConst, A: 7},
+			interp.Inst{Op: interp.OpArrayPut, A: 0},
+		)
+	}
+	exit := int64(len(code)) + 7
+	code = append(code,
+		interp.Inst{Op: interp.OpLoad, A: 0},
+		interp.Inst{Op: interp.OpConst, A: 1},
+		interp.Inst{Op: interp.OpSub},
+		interp.Inst{Op: interp.OpStore, A: 0},
+		interp.Inst{Op: interp.OpLoad, A: 0},
+		interp.Inst{Op: interp.OpJmpIfZero, A: exit},
+		interp.Inst{Op: interp.OpJmp, A: loopStart},
+		// exit:
+		interp.Inst{Op: interp.OpCallNative, A: 0, B: 0},
+		interp.Inst{Op: interp.OpConst, A: 7},
+		interp.Inst{Op: interp.OpReturn},
+	)
+	return &analysis.Program{
+		Method: &interp.Method{
+			Name:        "fig5_elide",
+			Code:        code,
+			MaxLocals:   2,
+			MaxRefs:     1,
+			NativeNames: []string{"bulk"},
+		},
+		Natives: map[string]analysis.NativeSummary{
+			// In-payload: int[16] is 64 bytes, granule-rounded end 64.
+			"bulk": {MinOff: 0, MaxOff: 63},
+		},
+	}
+}
+
 // BenchmarkFig6MultiThread is the §5.3.2 experiment: each iteration is one
-// full multi-thread run (8 threads × 200 acquire/read/release of an
-// int[1024]), in both contention patterns.
+// multi-thread run (8 threads × 200 acquire/read/release of an int[1024]),
+// in both contention patterns. The runtime, envs and arrays are built
+// before the timer starts, so an op times the concurrent run alone.
 func BenchmarkFig6MultiThread(b *testing.B) {
+	o := Fig6Options{Threads: 8, Iters: 200, ArrayLen: 1024}
 	for _, v := range Fig6Variants() {
 		for _, same := range []bool{true, false} {
 			test := "different-arrays"
@@ -134,14 +201,22 @@ func BenchmarkFig6MultiThread(b *testing.B) {
 				test = "same-array"
 			}
 			b.Run(v.Display+"/"+test, func(b *testing.B) {
-				o := Fig6Options{Threads: 8, Iters: 200, ArrayLen: 1024, Reps: 1, Warmup: 0}
-				o.defaults()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := fig6Run(v, same, o); err != nil {
-						b.Fatal(err)
-					}
+				s, err := newFig6Setup(v, same, o, 0)
+				if err != nil {
+					b.Fatal(err)
 				}
+				benchFig6(b, s)
 			})
+		}
+	}
+}
+
+// benchFig6 times b.N runs of a built Figure 6 configuration.
+func benchFig6(b *testing.B, s *fig6Setup) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.run(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -325,15 +400,14 @@ func BenchmarkAblationAlignment(b *testing.B) {
 // BenchmarkAblationHashTables compares the two-tier design's k settings on
 // the different-arrays contention test.
 func BenchmarkAblationHashTables(b *testing.B) {
-	o := Fig6Options{Threads: 8, Iters: 100, ArrayLen: 256, Reps: 1, Warmup: 0}
-	o.defaults()
+	o := Fig6Options{Threads: 8, Iters: 100, ArrayLen: 256}
 	for _, k := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := fig6RunWithHashTables(k, o); err != nil {
-					b.Fatal(err)
-				}
+			s, err := newHashTableSetup(k, o)
+			if err != nil {
+				b.Fatal(err)
 			}
+			benchFig6(b, s)
 		})
 	}
 }

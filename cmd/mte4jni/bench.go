@@ -1,39 +1,38 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"mte4jni"
 	"mte4jni/internal/bench"
-	"mte4jni/internal/pool"
 )
 
-// runBench is the benchmark-snapshot subcommand. Three modes:
+// runBench is the benchmark-snapshot subcommand. It only reads benchmark
+// output; `go test -bench` is the one runner, and `make bench-snapshot`
+// runs it at fixed settings and pipes the result through -parse. Modes:
 //
-//	mte4jni bench                     # run the built-in suite, snapshot JSON to stdout
-//	mte4jni bench -o BENCH.json       # ... to a file
-//	mte4jni bench -parse out.txt      # convert `go test -bench` output to snapshot JSON
+//	mte4jni bench -parse out.txt          # `go test -bench` text -> snapshot JSON on stdout
+//	mte4jni bench -parse out.txt -o a.json  # ... to a file
 //	mte4jni bench -combine a.json b.json  # pair two snapshots into one diff file
-//	mte4jni bench -diff a.json b.json # compare two snapshots
-//	mte4jni bench -diff BENCH_PR2.json  # compare the halves of a combined diff file
+//	mte4jni bench -diff a.json b.json     # compare two snapshots
+//	mte4jni bench -diff BENCH_PR2.json    # compare the halves of a combined diff file
 //
 // -diff doubles as a CI regression gate: it exits nonzero when any
 // benchmark slowed by more than -threshold percent (default 10; negative
-// disables the gate).
+// disables the gate) or is missing from the after snapshot. It refuses
+// snapshots taken on different CPU counts.
 //
 // Snapshots are the BENCH_*.json files committed at the repo root; see
 // README "Benchmark snapshots".
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	quick := fs.Bool("quick", false, "short, noisier measurement (~20ms per case)")
 	note := fs.String("note", "", "free-form note stored in the snapshot")
 	out := fs.String("o", "", "write the snapshot JSON to this file instead of stdout")
-	parse := fs.String("parse", "", "parse `go test -bench` text output from this file instead of running the suite")
+	parse := fs.String("parse", "", "parse `go test -bench` text output from this file into a snapshot")
 	diff := fs.Bool("diff", false, "compare two snapshot files, or the halves of one combined diff file")
-	threshold := fs.Float64("threshold", 10, "with -diff, fail (exit nonzero) when any benchmark slows by more than this percentage; negative disables the gate")
+	threshold := fs.Float64("threshold", 10, "with -diff, fail (exit nonzero) when any benchmark slows by more than this percentage or goes missing; negative disables the gate")
 	combine := fs.Bool("combine", false, "pair two snapshot files into one combined diff file")
 	fs.Parse(args)
 
@@ -57,10 +56,13 @@ func runBench(args []string) error {
 		default:
 			return fmt.Errorf("bench -diff needs one combined diff file or two snapshot files")
 		}
+		if err := bench.Comparable(before, after); err != nil {
+			return err
+		}
 		fmt.Print(bench.Compare(before, after))
 		if *threshold >= 0 {
 			if regs := bench.Regressions(before, after, *threshold); len(regs) > 0 {
-				fmt.Fprintf(os.Stderr, "\nbench: %d benchmark(s) regressed beyond %.1f%%:\n", len(regs), *threshold)
+				fmt.Fprintf(os.Stderr, "\nbench: %d benchmark(s) regressed beyond %.1f%% or went missing:\n", len(regs), *threshold)
 				for _, r := range regs {
 					fmt.Fprintf(os.Stderr, "  %s\n", r)
 				}
@@ -82,59 +84,41 @@ func runBench(args []string) error {
 		if err != nil {
 			return err
 		}
-		d := bench.NewDiff(*note, before, after)
-		w := os.Stdout
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
-		}
-		return d.WriteJSON(w)
+		return writeOutput(*out, bench.NewDiff(*note, before, after).WriteJSON)
 	}
 
-	var snap *bench.Snapshot
-	if *parse != "" {
-		f, err := os.Open(*parse)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		results, err := bench.ParseGoBench(f)
-		if err != nil {
-			return err
-		}
-		snap = bench.NewSnapshot(*note)
-		for _, r := range results {
-			snap.Add(r)
-		}
-	} else {
-		var err error
-		snap, err = mte4jni.RunBenchSuite(mte4jni.BenchSuiteOptions{Quick: *quick, Note: *note})
-		if err != nil {
-			return err
-		}
-		// The pool throughput rows live in internal/pool (which the root
-		// package's suite cannot import back); append them here.
-		rows, err := pool.ThroughputBench(context.Background(), *quick)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			snap.Add(r)
-		}
+	if *parse == "" {
+		return fmt.Errorf("bench needs -parse, -combine or -diff (run `make bench-snapshot` for a fresh snapshot)")
 	}
+	f, err := os.Open(*parse)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	results, err := bench.ParseGoBench(f)
+	if err != nil {
+		return err
+	}
+	snap := bench.NewSnapshot(*note)
+	for _, r := range results {
+		snap.Add(r)
+	}
+	return writeOutput(*out, snap.WriteJSON)
+}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+// writeOutput runs write against the file at path, or stdout when path is
+// empty, and reports the file's close error.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
+		return write(os.Stdout)
 	}
-	return snap.WriteJSON(w)
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

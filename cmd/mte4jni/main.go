@@ -14,7 +14,7 @@
 //	mte4jni ablate-k                # Extra B: hash-table count sweep
 //	mte4jni ablate-tags             # Extra C: tag collision probability
 //	mte4jni lint file.json...       # static analysis of bytecode programs
-//	mte4jni bench                   # benchmark-snapshot suite (BENCH_*.json)
+//	mte4jni bench -parse out.txt    # go-test bench text -> snapshot JSON (BENCH_*.json)
 //	mte4jni serve                   # multi-tenant serving daemon (HTTP/JSON)
 //	mte4jni load                    # concurrent load generator against serve
 //	mte4jni redteam                 # offline adversarial campaign (JSON coverage report)
@@ -102,7 +102,7 @@ commands:
   ablate-k       DESIGN.md Extra B: hash-table count sweep
   ablate-tags    DESIGN.md Extra C: 4-bit tag collision probability
   lint           static analysis of bytecode program files (-disasm, -dynamic)
-  bench          benchmark-snapshot suite (-quick, -o file, -parse benchtext, -diff a b)
+  bench          benchmark snapshots from go test -bench text (-parse benchtext, -combine a b, -diff a b)
   serve          multi-tenant serving daemon: session pool behind an HTTP/JSON API
   load           concurrent load generator for serve (-n, -c, -fault-every, -attack-rate)
   redteam        offline adversarial campaign: attack corpus x schemes -> JSON coverage report

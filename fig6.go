@@ -1,6 +1,7 @@
 package mte4jni
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -106,15 +107,37 @@ func (r *Fig6Result) Figure() *bench.Figure {
 	return fig
 }
 
-// fig6Run measures the wall-clock time for all threads to finish under one
-// configuration. sameArray selects the contention pattern.
+// fig6Run builds one configuration and measures the wall-clock time for
+// all threads to finish; sameArray selects the contention pattern.
 func fig6Run(v Fig6Variant, sameArray bool, o Fig6Options) (time.Duration, Contention, error) {
-	return fig6RunConfigured(v, sameArray, o, 0)
+	s, err := newFig6Setup(v, sameArray, o, 0)
+	if err != nil {
+		return 0, Contention{}, err
+	}
+	d, err := s.measure(o)
+	if err != nil {
+		return 0, Contention{}, err
+	}
+	return d, s.contention(), nil
 }
 
-// fig6RunConfigured additionally overrides the protector's hash-table count
-// (0 keeps the paper's 16); the hash-table ablation sweeps it.
-func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables int) (time.Duration, Contention, error) {
+// fig6Setup is one configuration built and ready to run: a runtime, one
+// env, array and scratch buffer per thread. Building it maps a 64 MiB heap,
+// which costs more than a small run itself, so callers build once and time
+// only run.
+type fig6Setup struct {
+	name    string
+	rt      *Runtime
+	iters   int
+	envs    []*Env
+	arrays  []*Object
+	scratch [][]byte
+}
+
+// newFig6Setup builds a configuration. hashTables overrides the protector's
+// hash-table count (0 keeps the paper's 16); the hash-table ablation sweeps
+// it.
+func newFig6Setup(v Fig6Variant, sameArray bool, o Fig6Options, hashTables int) (*fig6Setup, error) {
 	rt, err := New(Config{
 		Scheme:     v.Scheme,
 		Locking:    v.Locking,
@@ -122,99 +145,101 @@ func fig6RunConfigured(v Fig6Variant, sameArray bool, o Fig6Options, hashTables 
 		HeapSize:   uint64(64<<20) + uint64(o.Threads*o.ArrayLen*8),
 	})
 	if err != nil {
-		return 0, Contention{}, err
+		return nil, err
 	}
-
-	// Arrays and environments are created once; the timed section is the
-	// native work itself, as on the device.
-	arrays := make([]*Object, o.Threads)
-	envs := make([]*Env, o.Threads)
-	var shared *Object
+	s := &fig6Setup{
+		name:    v.Display,
+		rt:      rt,
+		iters:   o.Iters,
+		envs:    make([]*Env, o.Threads),
+		arrays:  make([]*Object, o.Threads),
+		scratch: make([][]byte, o.Threads),
+	}
+	var arr *Object
 	for i := 0; i < o.Threads; i++ {
-		envs[i], err = rt.AttachEnv(fmt.Sprintf("native-%d", i))
+		s.envs[i], err = rt.AttachEnv(fmt.Sprintf("native-%d", i))
 		if err != nil {
-			return 0, Contention{}, err
+			return nil, err
 		}
-		if sameArray {
-			if shared == nil {
-				shared, err = envs[i].NewIntArray(o.ArrayLen)
-				if err != nil {
-					return 0, Contention{}, err
-				}
-			}
-			arrays[i] = shared
-		} else {
-			arrays[i], err = envs[i].NewIntArray(o.ArrayLen)
-			if err != nil {
-				return 0, Contention{}, err
+		if !sameArray || i == 0 {
+			if arr, err = s.envs[i].NewIntArray(o.ArrayLen); err != nil {
+				return nil, err
 			}
 		}
+		s.arrays[i] = arr
+		s.scratch[i] = make([]byte, o.ArrayLen*4)
 	}
+	return s, nil
+}
 
-	scratchBytes := o.ArrayLen * 4
+// measure returns the median wall-clock time of o.Reps runs after o.Warmup
+// unrecorded ones.
+func (s *fig6Setup) measure(o Fig6Options) (time.Duration, error) {
 	var firstErr error
-	var errMu sync.Mutex
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
+	d := bench.Measure(o.Warmup, o.Reps, func() {
+		if err := s.run(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		errMu.Unlock()
-	}
+	})
+	return d, firstErr
+}
 
-	run := func() {
-		var start, done sync.WaitGroup
-		start.Add(1)
-		done.Add(o.Threads)
-		for i := 0; i < o.Threads; i++ {
-			go func(id int) {
-				defer done.Done()
-				env, arr := envs[id], arrays[id]
-				scratch := make([]byte, scratchBytes)
-				start.Wait()
-				var sink int64
-				fault, err := env.CallNative("readArray", Regular, func(e *Env) error {
-					for it := 0; it < o.Iters; it++ {
-						p, err := e.GetPrimitiveArrayCritical(arr)
-						if err != nil {
-							return err
-						}
-						e.CopyToNative(scratch, p)
-						// The "read": sum the elements natively, the work
-						// the paper's native method exists to do.
-						for i := 0; i+4 <= len(scratch); i += 4 {
-							sink += int64(int32(uint32(scratch[i]) | uint32(scratch[i+1])<<8 |
-								uint32(scratch[i+2])<<16 | uint32(scratch[i+3])<<24))
-						}
-						if err := e.ReleasePrimitiveArrayCritical(arr, p, JNIAbort); err != nil {
-							return err
-						}
+// run is one timed run: every thread's native method concurrently
+// acquires, bulk-reads and releases its array iters times.
+func (s *fig6Setup) run() error {
+	errs := make([]error, len(s.envs))
+	var start, done sync.WaitGroup
+	start.Add(1)
+	done.Add(len(s.envs))
+	for id := range s.envs {
+		go func() {
+			defer done.Done()
+			env, arr, scratch := s.envs[id], s.arrays[id], s.scratch[id]
+			start.Wait()
+			var sink int64
+			fault, err := env.CallNative("readArray", Regular, func(e *Env) error {
+				for it := 0; it < s.iters; it++ {
+					p, err := e.GetPrimitiveArrayCritical(arr)
+					if err != nil {
+						return err
 					}
-					return nil
-				})
-				_ = sink
-				if fault != nil {
-					setErr(fault)
+					e.CopyToNative(scratch, p)
+					// The "read": sum the elements natively, the work
+					// the paper's native method exists to do.
+					for i := 0; i+4 <= len(scratch); i += 4 {
+						sink += int64(int32(uint32(scratch[i]) | uint32(scratch[i+1])<<8 |
+							uint32(scratch[i+2])<<16 | uint32(scratch[i+3])<<24))
+					}
+					if err := e.ReleasePrimitiveArrayCritical(arr, p, JNIAbort); err != nil {
+						return err
+					}
 				}
-				if err != nil {
-					setErr(err)
-				}
-			}(i)
-		}
-		start.Done()
-		done.Wait()
+				return nil
+			})
+			_ = sink
+			if fault != nil {
+				err = fault
+			}
+			errs[id] = err
+		}()
 	}
+	start.Done()
+	done.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return fmt.Errorf("fig6 %s: %w", s.name, err)
+	}
+	return nil
+}
 
-	d := bench.Measure(o.Warmup, o.Reps, run)
-	if firstErr != nil {
-		return 0, Contention{}, fmt.Errorf("fig6 %s: %w", v.Display, firstErr)
+// contention reads the protector's lock statistics accumulated over every
+// run so far (zero for guarded copy and no protection).
+func (s *fig6Setup) contention() Contention {
+	p := s.rt.Protector()
+	if p == nil {
+		return Contention{}
 	}
-	var cont Contention
-	if p := rt.Protector(); p != nil {
-		st := p.Stats()
-		cont = Contention{Table: st.TableLockContended, Object: st.ObjectLockContended}
-	}
-	return d, cont, nil
+	st := p.Stats()
+	return Contention{Table: st.TableLockContended, Object: st.ObjectLockContended}
 }
 
 // RunFig6 runs both tests across all configurations and normalizes.

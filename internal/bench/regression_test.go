@@ -42,9 +42,28 @@ func TestRegressionsGate(t *testing.T) {
 		t.Fatalf("threshold 5 found %+v, want a and b", regs)
 	}
 
-	// Benchmarks missing from the after snapshot are not regressions.
-	partial := snapOf(map[string]float64{"a": 100})
-	if regs := Regressions(before, partial, 10); len(regs) != 0 {
-		t.Fatalf("missing-after flagged: %+v", regs)
+	// A benchmark missing from the after snapshot fails the gate, whatever
+	// the threshold: deleting or renaming a slowed row must not pass. Rows
+	// only in the after snapshot are new, not regressions.
+	partial := snapOf(map[string]float64{"a": 100, "b": 100})
+	regs = Regressions(before, partial, 1000)
+	if len(regs) != 2 || !regs[0].Missing || regs[0].Name != "c" || regs[1].Name != "d" {
+		t.Fatalf("missing-after regressions = %+v, want c and d", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "c: 100.0 ns/op before, missing from the after snapshot") {
+		t.Fatalf("rendering: %q", s)
+	}
+	if regs := Regressions(partial, before, 10); len(regs) != 0 {
+		t.Fatalf("after-only rows flagged: %+v", regs)
+	}
+
+	// Snapshots from different CPU counts are refused outright.
+	if err := Comparable(before, after); err != nil {
+		t.Fatalf("same-host snapshots refused: %v", err)
+	}
+	other := snapOf(map[string]float64{"a": 100})
+	other.NumCPU = before.NumCPU + 1
+	if err := Comparable(before, other); err == nil || !strings.Contains(err.Error(), "different CPU counts") {
+		t.Fatalf("num_cpu mismatch: err = %v", err)
 	}
 }

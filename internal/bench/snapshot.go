@@ -13,10 +13,9 @@ import (
 
 // Benchmark snapshots: a machine-readable record of a benchmark run, stable
 // enough to commit next to the code it measures (BENCH_*.json at the repo
-// root). A snapshot can be produced by the `mte4jni bench` subcommand's
-// built-in suite or parsed from `go test -bench` text output, so before and
-// after numbers captured either way land in one schema and can be diffed
-// with Compare.
+// root). Every snapshot is parsed from `go test -bench` text output (see
+// ParseGoBench and `make bench-snapshot`), so before and after numbers land
+// in one schema and can be diffed with Compare.
 
 // SnapshotSchema identifies the snapshot JSON layout.
 const SnapshotSchema = "mte4jni-bench-snapshot/v1"
@@ -33,7 +32,7 @@ type Result struct {
 	// MBPerS is throughput when the benchmark declared bytes/op; 0 otherwise.
 	MBPerS float64 `json:"mb_per_s,omitempty"`
 	// AllocsPerOp and BytesPerOp are Go allocator traffic per operation,
-	// when measured (-benchmem or the built-in suite).
+	// when measured (-benchmem).
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	// TagBytesPerOp and TagBytesFlatPerOp are set by the tag-footprint
@@ -43,6 +42,13 @@ type Result struct {
 	// rates; 0 for cases that do not measure tag residency.
 	TagBytesPerOp     float64 `json:"tag_bytes_per_op,omitempty"`
 	TagBytesFlatPerOp float64 `json:"tag_bytes_flat_per_op,omitempty"`
+	// Runs is how many runs of the benchmark ParseGoBench folded into this
+	// row; the other fields are the fastest run's. Snapshots written before
+	// folding existed leave it 0.
+	Runs int `json:"runs,omitempty"`
+	// Spread is the folded runs' slowest ns/op over their fastest, minus
+	// one: the run-to-run noise behind the row (0 for a single run).
+	Spread float64 `json:"spread,omitempty"`
 }
 
 // Snapshot is a full benchmark run plus the environment it ran in.
@@ -112,53 +118,103 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 }
 
 // ParseGoBench converts `go test -bench` text output into results. Lines
-// that are not benchmark result lines are ignored, so the whole test output
-// can be piped in. The "Benchmark" prefix and the trailing "-N" GOMAXPROCS
-// suffix are stripped from names, giving the same names the built-in suite
-// uses.
+// other than benchmark results and `pkg:` headers are ignored, so whole test
+// logs, several packages and passes concatenated, can be piped in.
+//
+// A row is named after its benchmark without the "Benchmark" prefix and the
+// trailing "-N" GOMAXPROCS suffix. A benchmark from a package below the
+// module root is prefixed with the last element of its `pkg:` path:
+// BenchmarkLoad64Checked under `pkg: mte4jni/internal/mem` becomes
+// "mem/Load64Checked", while root-package rows stay unprefixed.
+//
+// A benchmark that appears more than once (several passes, or -count N)
+// folds into one row holding its fastest run, with Runs and Spread saying
+// how many runs were folded and how far apart they were. The minimum is the
+// reproducible quantity on a shared host: noise only ever adds time.
 func ParseGoBench(r io.Reader) ([]Result, error) {
 	var out []Result
+	index := map[string]int{}
+	slowest := map[string]float64{}
+	prefix := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
-		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		line := sc.Text()
+		if pkg, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(pkg)
+			prefix = ""
+			if i := strings.LastIndex(pkg, "/"); i >= 0 {
+				prefix = pkg[i+1:] + "/"
+			}
 			continue
 		}
-		iters, err := strconv.Atoi(fields[1])
+		res, ok := parseBenchLine(line)
+		if !ok {
+			continue
+		}
+		res.Name = prefix + res.Name
+		i, seen := index[res.Name]
+		if !seen {
+			index[res.Name] = len(out)
+			slowest[res.Name] = res.NsPerOp
+			out = append(out, res)
+			continue
+		}
+		slowest[res.Name] = max(slowest[res.Name], res.NsPerOp)
+		res.Runs += out[i].Runs
+		if res.NsPerOp < out[i].NsPerOp {
+			out[i] = res
+		} else {
+			out[i].Runs = res.Runs
+		}
+	}
+	for i := range out {
+		if fastest := out[i].NsPerOp; fastest > 0 {
+			out[i].Spread = slowest[out[i].Name]/fastest - 1
+		}
+	}
+	return out, sc.Err()
+}
+
+// parseBenchLine parses one `go test -bench` result line, reporting false
+// for any other line.
+func parseBenchLine(line string) (Result, bool) {
+	fields := strings.Fields(line)
+	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
+		return Result{}, false
+	}
+	iters, err := strconv.Atoi(fields[1])
+	if err != nil {
+		return Result{}, false
+	}
+	name := strings.TrimPrefix(fields[0], "Benchmark")
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			name = name[:i]
+		}
+	}
+	res := Result{Name: name, Iters: iters, Runs: 1}
+	// Remaining fields come in value/unit pairs.
+	for i := 2; i+1 < len(fields); i += 2 {
+		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
-		name := strings.TrimPrefix(fields[0], "Benchmark")
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
+		switch fields[i+1] {
+		case "ns/op":
+			res.NsPerOp = v
+		case "MB/s":
+			res.MBPerS = v
+		case "B/op":
+			res.BytesPerOp = v
+		case "allocs/op":
+			res.AllocsPerOp = v
+		case "tagB/op":
+			res.TagBytesPerOp = v
+		case "flatTagB/op":
+			res.TagBytesFlatPerOp = v
 		}
-		res := Result{Name: name, Iters: iters}
-		// Remaining fields come in value/unit pairs.
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
-			}
-			switch fields[i+1] {
-			case "ns/op":
-				res.NsPerOp = v
-			case "MB/s":
-				res.MBPerS = v
-			case "B/op":
-				res.BytesPerOp = v
-			case "allocs/op":
-				res.AllocsPerOp = v
-			case "tagB/op":
-				res.TagBytesPerOp = v
-			case "flatTagB/op":
-				res.TagBytesFlatPerOp = v
-			}
-		}
-		out = append(out, res)
 	}
-	return out, sc.Err()
+	return res, true
 }
 
 // DiffSchema identifies the combined before/after snapshot JSON layout —
@@ -211,29 +267,50 @@ func ReadDiffFile(path string) (*Diff, error) {
 	return &d, nil
 }
 
-// Regression is one benchmark whose ns/op grew past the gate threshold
-// between two snapshots.
+// Comparable reports why two snapshots cannot be compared row by row, or
+// nil. Timings taken on different CPU counts differ by scheduling as much
+// as by code, so a diff across them would gate on the host, not the change.
+func Comparable(before, after *Snapshot) error {
+	if before.NumCPU != after.NumCPU {
+		return fmt.Errorf("bench: snapshots ran on different CPU counts (before %d, after %d); measure both sides on one host",
+			before.NumCPU, after.NumCPU)
+	}
+	return nil
+}
+
+// Regression is one benchmark that fails the gate between two snapshots:
+// its ns/op grew past the threshold, or it is missing from the after
+// snapshot.
 type Regression struct {
 	Name     string  `json:"name"`
 	BeforeNS float64 `json:"before_ns_per_op"`
 	AfterNS  float64 `json:"after_ns_per_op"`
 	DeltaPct float64 `json:"delta_pct"`
+	Missing  bool    `json:"missing,omitempty"`
 }
 
 // String renders the regression the way the CI gate prints it.
 func (r Regression) String() string {
+	if r.Missing {
+		return fmt.Sprintf("%s: %.1f ns/op before, missing from the after snapshot", r.Name, r.BeforeNS)
+	}
 	return fmt.Sprintf("%s: %.1f -> %.1f ns/op (%+.1f%%)", r.Name, r.BeforeNS, r.AfterNS, r.DeltaPct)
 }
 
-// Regressions returns every benchmark present in both snapshots whose ns/op
-// grew by strictly more than thresholdPct percent, in before-snapshot order.
-// It is the decision procedure behind `mte4jni bench -diff -threshold`:
-// a non-empty result fails the gate.
+// Regressions returns, in before-snapshot order, every benchmark whose
+// ns/op grew by strictly more than thresholdPct percent, and every
+// benchmark missing from the after snapshot: deleting or renaming a slow
+// row must not pass the gate. It is the decision procedure behind
+// `mte4jni bench -diff -threshold`: a non-empty result fails the gate.
 func Regressions(before, after *Snapshot, thresholdPct float64) []Regression {
 	var out []Regression
 	for _, b := range before.Results {
 		a := after.Find(b.Name)
-		if a == nil || b.NsPerOp == 0 {
+		if a == nil {
+			out = append(out, Regression{Name: b.Name, BeforeNS: b.NsPerOp, Missing: true})
+			continue
+		}
+		if b.NsPerOp == 0 {
 			continue
 		}
 		delta := (a.NsPerOp - b.NsPerOp) / b.NsPerOp * 100
@@ -244,20 +321,40 @@ func Regressions(before, after *Snapshot, thresholdPct float64) []Regression {
 	return out
 }
 
-// Compare renders a before/after table over the benchmarks present in both
-// snapshots: ns/op on each side and the relative change (negative is
-// faster).
+// Compare renders a before/after table: ns/op on each side, the relative
+// change (negative is faster) and each side's run-to-run spread, so a delta
+// can be read against the noise behind it. Rows found on only one side are
+// listed too, marked "only before" or "only after".
 func Compare(before, after *Snapshot) *Table {
-	t := NewTable("benchmark comparison", "benchmark", "before ns/op", "after ns/op", "delta")
+	t := NewTable("benchmark comparison", "benchmark", "before ns/op", "after ns/op", "delta", "spread before/after")
 	for _, b := range before.Results {
 		a := after.Find(b.Name)
-		if a == nil || b.NsPerOp == 0 {
-			continue
+		switch {
+		case a == nil:
+			t.AddRow(b.Name, fmt.Sprintf("%.1f", b.NsPerOp), "-", "only before")
+		case b.NsPerOp == 0:
+			t.AddRow(b.Name, "-", fmt.Sprintf("%.1f", a.NsPerOp), "no baseline")
+		default:
+			t.AddRow(b.Name,
+				fmt.Sprintf("%.1f", b.NsPerOp),
+				fmt.Sprintf("%.1f", a.NsPerOp),
+				Percent((a.NsPerOp-b.NsPerOp)/b.NsPerOp*100),
+				spread(b)+" / "+spread(*a))
 		}
-		t.AddRow(b.Name,
-			fmt.Sprintf("%.1f", b.NsPerOp),
-			fmt.Sprintf("%.1f", a.NsPerOp),
-			Percent((a.NsPerOp-b.NsPerOp)/b.NsPerOp*100))
+	}
+	for _, a := range after.Results {
+		if before.Find(a.Name) == nil {
+			t.AddRow(a.Name, "-", fmt.Sprintf("%.1f", a.NsPerOp), "only after")
+		}
 	}
 	return t
+}
+
+// spread renders a row's run-to-run spread, "-" when it folded one run or
+// predates folding.
+func spread(r Result) string {
+	if r.Runs < 2 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1f%%", r.Spread*100)
 }

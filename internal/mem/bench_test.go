@@ -44,6 +44,19 @@ func BenchmarkLoad64Checked(b *testing.B) {
 	}
 }
 
+// BenchmarkLoad64Unguarded measures the same access with the SWAR tag
+// compare elided: the per-access cost a discharged elision proof buys back.
+func BenchmarkLoad64Unguarded(b *testing.B) {
+	s, ctx, p := benchSpace(b, mte.TCFSync)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, f := s.Load64Unguarded(ctx, p.Add(int64(i%1024)*8)); f != nil {
+			b.Fatal(f)
+		}
+	}
+}
+
 // BenchmarkLoad64Unchecked measures the same access with checking disabled
 // (TCO set), the managed-code configuration.
 func BenchmarkLoad64Unchecked(b *testing.B) {
@@ -70,6 +83,25 @@ func BenchmarkCopyOutChecked(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if f := s.CopyOut(ctx, p, dst); f != nil {
+					b.Fatal(f)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCopyOutUnguarded is BenchmarkCopyOutChecked with the tag compare
+// elided, the bulk path of a proven-safe native read.
+func BenchmarkCopyOutUnguarded(b *testing.B) {
+	for _, n := range []int{64, 1024, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s, ctx, p := benchSpace(b, mte.TCFSync)
+			dst := make([]byte, n)
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if f := s.CopyOutUnguarded(ctx, p, dst); f != nil {
 					b.Fatal(f)
 				}
 			}

@@ -126,11 +126,9 @@ var spaceInternals = map[string]bool{
 }
 
 // memTier are the packages allowed to touch Space internals: the machine
-// simulation itself plus the differential fuzzer and the root package's
-// figure/bench drivers, which deliberately poke raw state to stage
-// scenarios.
+// simulation itself plus the differential fuzzer, which deliberately pokes
+// raw state to stage scenarios.
 var memTier = map[string]bool{
-	modulePath:                           true,
 	modulePath + "/internal/mem":         true,
 	modulePath + "/internal/heap":        true,
 	modulePath + "/internal/vm":          true,
@@ -386,9 +384,8 @@ func checkElisionEncapsulation(importPath string, files []*ast.File) []diagnosti
 // Pass 7: unguarded-gate.
 //
 // The *Unguarded access variants (internal/mem) skip the SWAR tag compare.
-// Two invariants keep them sound: only the elision tier — the root bench
-// drivers, internal/mem itself, the jni env, and the fuzz oracle — may call
-// them at all; and inside internal/jni every call must sit lexically inside
+// Two invariants keep them sound: only the elision tier — internal/mem
+// itself, the jni env, and the fuzz oracle — may call them at all; and inside internal/jni every call must sit lexically inside
 // an if whose condition consults the elided() gate, so an invalidated proof
 // (release, remap, digest mismatch) falls back to checked access instead of
 // silently staying guard-free. The gate detection is syntactic (an
@@ -397,7 +394,6 @@ func checkElisionEncapsulation(importPath string, files []*ast.File) []diagnosti
 
 // unguardedTier are the packages allowed to call *Unguarded accessors.
 var unguardedTier = map[string]bool{
-	modulePath:                    true,
 	modulePath + "/internal/mem":  true,
 	modulePath + "/internal/jni":  true,
 	modulePath + "/internal/fuzz": true,

@@ -57,18 +57,22 @@ func TestNoinlineFaultPassScopedToMem(t *testing.T) {
 }
 
 func TestMemEncapsulationPass(t *testing.T) {
-	got := lintFixture(t, "mte4jni/internal/server", "encap_bad.go")
-	wantDiags(t, got,
-		"call to SetTagRange reaches into mem.Space internals",
-		"call to Bytes reaches into mem.Space internals",
-		"call to WriteRaw reaches into mem.Space internals",
-	)
+	// The root package gets no exemption: its experiments stage scenarios
+	// through the runtime API.
+	for _, pkg := range []string{"mte4jni/internal/server", "mte4jni"} {
+		got := lintFixture(t, pkg, "encap_bad.go")
+		wantDiags(t, got,
+			"call to SetTagRange reaches into mem.Space internals",
+			"call to Bytes reaches into mem.Space internals",
+			"call to WriteRaw reaches into mem.Space internals",
+		)
+	}
 }
 
 // The memory-management tier itself may touch Space internals freely.
 func TestMemEncapsulationAllowsMemTier(t *testing.T) {
 	for _, pkg := range []string{
-		"mte4jni", "mte4jni/internal/mem", "mte4jni/internal/vm",
+		"mte4jni/internal/mem", "mte4jni/internal/vm",
 		"mte4jni/internal/core", "mte4jni/internal/guardedcopy", "mte4jni/internal/fuzz",
 	} {
 		wantDiags(t, lintFixture(t, pkg, "encap_bad.go"))
@@ -131,22 +135,24 @@ func TestElisionEncapsulationAllowsCompilerTier(t *testing.T) {
 
 func TestUnguardedGatePass(t *testing.T) {
 	// Outside the elision tier every *Unguarded call is flagged, gated or not.
-	got := lintFixture(t, "mte4jni/internal/server", "unguarded_bad.go")
-	wantDiags(t, got,
-		"call to Load32Unguarded takes the unguarded access path from mte4jni/internal/server",
-		"call to Load32Unguarded takes the unguarded access path from mte4jni/internal/server",
-	)
+	for _, pkg := range []string{"mte4jni/internal/server", "mte4jni"} {
+		got := lintFixture(t, pkg, "unguarded_bad.go")
+		wantDiags(t, got,
+			"call to Load32Unguarded takes the unguarded access path from "+pkg,
+			"call to Load32Unguarded takes the unguarded access path from "+pkg,
+		)
+	}
 	// In internal/jni the gated call is sanctioned; the ungated one is not.
-	got = lintFixture(t, "mte4jni/internal/jni", "unguarded_bad.go")
+	got := lintFixture(t, "mte4jni/internal/jni", "unguarded_bad.go")
 	wantDiags(t, got,
 		"call to Load32Unguarded in ungatedLoad is not behind the elision gate",
 	)
 }
 
-// The rest of the elision tier (mem itself, the fuzz oracle, root bench
-// drivers) may call unguarded variants without the jni gate shape.
+// The rest of the elision tier (mem itself, the fuzz oracle) may call
+// unguarded variants without the jni gate shape.
 func TestUnguardedGateAllowsElisionTier(t *testing.T) {
-	for _, pkg := range []string{"mte4jni", "mte4jni/internal/mem", "mte4jni/internal/fuzz"} {
+	for _, pkg := range []string{"mte4jni/internal/mem", "mte4jni/internal/fuzz"} {
 		wantDiags(t, lintFixture(t, pkg, "unguarded_bad.go"))
 	}
 }
