@@ -81,10 +81,9 @@ bench-smoke:
 # 64-session pool on an ephemeral port, driven by `mte4jni load` (mixed
 # faulting traffic, then a 64-worker full-capacity burst), /metrics
 # reconciliation, clean SIGTERM shutdown. Also runs the sharded-admission
-# section (8 shards, exact per-shard lease reconciliation + balance check),
-# the cluster section (2 daemons behind the built-in L7 balancer, open-loop
-# Poisson load gated on p99 SLO, drain-aware SIGTERM), and the shard-scaling
-# bench gate. See scripts/serve_smoke.sh.
+# section (one 8-shard daemon: exact per-shard lease reconciliation +
+# balance check, then open-loop Poisson load gated on its p99 SLO) and the
+# shard-scaling bench gate. See scripts/serve_smoke.sh.
 serve-smoke:
 	GO="$(GO)" sh ./scripts/serve_smoke.sh
 

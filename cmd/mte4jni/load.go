@@ -8,16 +8,15 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
 	"math/rand"
 
 	"mte4jni/internal/analysis"
+	"mte4jni/internal/bench"
 	"mte4jni/internal/pool"
 	"mte4jni/internal/redteam"
-	"mte4jni/internal/report"
 	"mte4jni/internal/server"
 )
 
@@ -51,9 +50,8 @@ func runLoad(args []string) error {
 	noReconcile := fs.Bool("no-reconcile", false, "skip the /metrics reconciliation (server is shared with other clients)")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s: requests launch on Poisson inter-arrival times regardless of completions, the queueing discipline real traffic applies (0 = closed loop over -c workers)")
 	sloP99 := fs.Duration("slo-p99", 0, "fail (exit nonzero) when the run's p99 latency exceeds this budget (0 = no SLO gate)")
-	reportFile := fs.String("report", "", "write a JSON report (throughput, HDR latency percentiles, SLO verdict) to this file")
-	tenantCount := fs.Int("tenants", 0, "spread requests across K tenants (load-tenant-*) so the server's affinity router exercises every shard (0 = no tenant attribution)")
-	expectShards := fs.Int("expect-shards", 0, "reconcile the per-shard /metrics ledgers against a server running -shards=N: shard leases must sum to created+reused exactly, sheds to rejected, and — with -tenants set — no shard may serve more than 2x the mean (tenants are picked shard-affine so uniform load is uniform by construction)")
+	reportFile := fs.String("report", "", "write a JSON report (throughput, latency percentiles, SLO verdict) to this file")
+	tenantCount := fs.Int("tenants", 0, "spread requests across K tenants (load-tenant-*), picked shard-affine so each of the server's shards (as the /metrics baseline counts them; 1 under -no-reconcile) homes K/shards of them; K must be a multiple of the shard count, and no shard may then serve more than 2x the mean (0 = no tenant attribution)")
 	fs.Parse(args)
 	parsedScheme, err := server.ParseScheme(*scheme)
 	if err != nil {
@@ -65,9 +63,6 @@ func runLoad(args []string) error {
 	if *rate > 0 && *attackRate > 0 {
 		return fmt.Errorf("load: -rate (open loop) and -attack-rate (order-dependent escalation) cannot be combined")
 	}
-	if *expectShards < 0 || (*expectShards > 0 && *tenantCount > 0 && *tenantCount%*expectShards != 0) {
-		return fmt.Errorf("load: -tenants must be a multiple of -expect-shards for an exactly uniform spread")
-	}
 	// The escalation state machine is sequential by nature — which probe
 	// trips which tier depends on strict request order — so attack injection
 	// demands a single worker.
@@ -77,31 +72,39 @@ func runLoad(args []string) error {
 	// The attack probe is detected exactly when the scheme is an MTE one.
 	expectDetect := parsedScheme.MTE()
 
-	// Tenant spread: K distinct tenants round-robined over the requests.
-	// When -expect-shards is set the names are picked shard-affine — probe
-	// the shared affinity hash (the same FNV the server routes with) until
-	// K/N tenants home on each shard — so a uniform request spread is a
-	// uniform shard spread by construction, and the 2x-mean balance check
-	// below cannot be failed by hash luck.
+	client := &http.Client{Timeout: 60 * time.Second}
+
+	// Snapshot the server counters up front: reconciliation compares the
+	// *change* over this run, so it works against warm servers too. The
+	// baseline's per-shard rows also give the server's shard count.
+	var before server.MetricsResponse
+	shards := 1
+	if !*noReconcile {
+		if err := getJSON(client, *url+"/metrics", &before); err != nil {
+			return fmt.Errorf("load: fetching /metrics baseline: %w", err)
+		}
+		shards = len(before.Pool.Shards)
+	}
+	if shards < 1 || *tenantCount%shards != 0 {
+		return fmt.Errorf("load: -tenants %d is not a multiple of the server's %d shards", *tenantCount, shards)
+	}
+
+	// Tenant spread: K distinct tenants round-robined over the requests,
+	// picked shard-affine — probe the shared affinity hash (the same FNV the
+	// server routes with) until K/shards tenants home on each shard — so a
+	// uniform request spread is a uniform shard spread by construction, and
+	// the 2x-mean balance check below cannot be failed by hash luck.
 	var tenantNames []string
-	if *tenantCount > 0 {
-		if *expectShards > 0 {
-			for shard := 0; shard < *expectShards; shard++ {
-				need := *tenantCount / *expectShards
-				for probe := 0; need > 0; probe++ {
-					name := fmt.Sprintf("load-tenant-%d", probe)
-					if int(pool.AffinityKey(name, parsedScheme.String())%uint64(*expectShards)) == shard {
-						tenantNames = append(tenantNames, name)
-						need--
-					}
-					if probe > 1<<20 {
-						return fmt.Errorf("load: no tenant name hashes to shard %d", shard)
-					}
-				}
+	for shard := 0; shard < shards; shard++ {
+		need := *tenantCount / shards
+		for probe := 0; need > 0; probe++ {
+			name := fmt.Sprintf("load-tenant-%d", probe)
+			if int(pool.AffinityKey(name, parsedScheme.String())%uint64(shards)) == shard {
+				tenantNames = append(tenantNames, name)
+				need--
 			}
-		} else {
-			for i := 0; i < *tenantCount; i++ {
-				tenantNames = append(tenantNames, fmt.Sprintf("load-tenant-%d", i))
+			if probe > 1<<20 {
+				return fmt.Errorf("load: no tenant name hashes to shard %d", shard)
 			}
 		}
 	}
@@ -156,17 +159,6 @@ func runLoad(args []string) error {
 			return fmt.Errorf("load: marshal spin program: %w", err)
 		}
 		spinProg = raw
-	}
-
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	// Snapshot the server counters up front: reconciliation compares the
-	// *change* over this run, so it works against warm servers too.
-	var before server.MetricsResponse
-	if !*noReconcile {
-		if err := getJSON(client, *url+"/metrics", &before); err != nil {
-			return fmt.Errorf("load: fetching /metrics baseline: %w", err)
-		}
 	}
 
 	outcomes := make([]loadOutcome, *n)
@@ -285,8 +277,7 @@ func runLoad(args []string) error {
 	var elidedSites, invalidated int
 	var temporalFlagged, temporalPolicyRejected int
 	temporalByClass := make(map[string]int)
-	lats := make([]time.Duration, 0, *n)
-	var hist report.Histogram
+	lats := make([]float64, 0, *n) // ns
 	for i, o := range outcomes {
 		if o.err != nil {
 			failed++
@@ -337,20 +328,12 @@ func runLoad(args []string) error {
 		default:
 			ok++
 		}
-		lats = append(lats, o.latency)
-		hist.Observe(o.latency)
+		lats = append(lats, float64(o.latency))
 		if o.injected {
 			injected++
 		}
 	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		idx := int(p * float64(len(lats)-1))
-		return lats[idx]
-	}
+	latRep := summarizeLatency(lats)
 	fmt.Printf("load: %d requests over %d workers in %v (%.0f req/s)\n",
 		*n, *c, wall.Round(time.Millisecond), float64(*n)/wall.Seconds())
 	fmt.Printf("  ok=%d faulted=%d (injected %d) rejected=%d canceled=%d deadlined=%d transport-errors=%d\n",
@@ -368,16 +351,12 @@ func runLoad(args []string) error {
 			temporalPolicyRejected)
 	}
 	if len(lats) > 0 {
-		fmt.Printf("  latency: p50=%v p95=%v p99=%v max=%v\n",
-			pct(0.50).Round(time.Microsecond), pct(0.95).Round(time.Microsecond),
-			pct(0.99).Round(time.Microsecond), lats[len(lats)-1].Round(time.Microsecond))
+		us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+		fmt.Printf("  latency: p50=%v p90=%v p99=%v p999=%v max=%v\n",
+			us(latRep.P50NS), us(latRep.P90NS), us(latRep.P99NS), us(latRep.P999NS), us(latRep.MaxNS))
 	}
-	latRep := hist.Report()
 	if *rate > 0 {
-		fmt.Printf("  open-loop: target=%.0f req/s achieved=%.0f req/s hdr-p99=%v hdr-p999=%v\n",
-			*rate, float64(*n)/wall.Seconds(),
-			time.Duration(latRep.P99NS).Round(time.Microsecond),
-			time.Duration(latRep.P999NS).Round(time.Microsecond))
+		fmt.Printf("  open-loop: target=%.0f req/s achieved=%.0f req/s\n", *rate, float64(*n)/wall.Seconds())
 	}
 	if *reportFile != "" {
 		rep := loadReport{
@@ -606,57 +585,50 @@ func runLoad(args []string) error {
 		// pool-level counters to the unit — and, with no aborts in flight,
 		// match the served request count exactly. Shedding is decided at a
 		// shard's queue, so shard_shed_total sums to the pool's rejected.
-		if *expectShards > 0 {
-			sh := after.Pool.Shards
-			if len(sh) != *expectShards {
-				return fmt.Errorf("load: server reports %d shards, -expect-shards %d", len(sh), *expectShards)
+		sh := after.Pool.Shards
+		if len(sh) != shards {
+			return fmt.Errorf("load: server reports %d shards, %d at the baseline", len(sh), shards)
+		}
+		var dLeases, dSteals, dShed, dCreated, dReused, maxLeases uint64
+		leaseDeltas := make([]uint64, len(sh))
+		for i, a := range sh {
+			b := before.Pool.Shards[i]
+			if a.Leased != 0 || a.Waiters != 0 {
+				return fmt.Errorf("load: shard %d not drained: leased=%d waiters=%d", i, a.Leased, a.Waiters)
 			}
-			var dLeases, dSteals, dShed, dCreated, dReused, maxLeases uint64
-			leaseDeltas := make([]uint64, len(sh))
-			for i, a := range sh {
-				var b pool.ShardStats
-				if i < len(before.Pool.Shards) {
-					b = before.Pool.Shards[i]
-				}
-				if a.Leased != 0 || a.Waiters != 0 {
-					return fmt.Errorf("load: shard %d not drained: leased=%d waiters=%d", i, a.Leased, a.Waiters)
-				}
-				leaseDeltas[i] = a.Leases - b.Leases
-				dLeases += leaseDeltas[i]
-				dSteals += a.Steals - b.Steals
-				dShed += a.Shed - b.Shed
-				dCreated += a.Created - b.Created
-				dReused += a.Reused - b.Reused
-				if leaseDeltas[i] > maxLeases {
-					maxLeases = leaseDeltas[i]
-				}
+			leaseDeltas[i] = a.Leases - b.Leases
+			dLeases += leaseDeltas[i]
+			dSteals += a.Steals - b.Steals
+			dShed += a.Shed - b.Shed
+			dCreated += a.Created - b.Created
+			dReused += a.Reused - b.Reused
+			if leaseDeltas[i] > maxLeases {
+				maxLeases = leaseDeltas[i]
 			}
-			fmt.Printf("  shards: leases=%v steals=%d shed=%d (created+reused=%d)\n",
-				leaseDeltas, dSteals, dShed, dCreated+dReused)
-			if dLeases != dCreated+dReused {
-				return fmt.Errorf("load: shard lease ledger off: shards sum +%d leases, pool counted +%d created and +%d reused", dLeases, dCreated, dReused)
-			}
-			dPoolRejected := after.Pool.Rejected - before.Pool.Rejected
-			if dShed != dPoolRejected {
-				return fmt.Errorf("load: shard shed ledger off: shards sum +%d, pool rejected +%d", dShed, dPoolRejected)
-			}
-			if canceled == 0 && deadlined == 0 && attackRefused == 0 && dLeases != dRequests {
-				return fmt.Errorf("load: +%d shard leases for +%d served requests", dLeases, dRequests)
-			}
-			// Balance: the affine tenant spread puts the same number of
-			// tenants on every shard, so uniform traffic must spread within
-			// 2x of the mean — skew here means routing or stealing is
-			// hoarding leases on one shard.
-			if *tenantCount > 0 {
-				mean := float64(dLeases) / float64(len(sh))
-				if mean > 0 && float64(maxLeases) > 2*mean {
-					return fmt.Errorf("load: shard imbalance: max +%d leases against mean %.1f (uniform affine load must stay within 2x)", maxLeases, mean)
-				}
+		}
+		fmt.Printf("  shards: leases=%v steals=%d shed=%d (created+reused=%d)\n",
+			leaseDeltas, dSteals, dShed, dCreated+dReused)
+		if dLeases != dCreated+dReused {
+			return fmt.Errorf("load: shard lease ledger off: shards sum +%d leases, pool counted +%d created and +%d reused", dLeases, dCreated, dReused)
+		}
+		dPoolRejected := after.Pool.Rejected - before.Pool.Rejected
+		if dShed != dPoolRejected {
+			return fmt.Errorf("load: shard shed ledger off: shards sum +%d, pool rejected +%d", dShed, dPoolRejected)
+		}
+		if canceled == 0 && deadlined == 0 && attackRefused == 0 && dLeases != dRequests {
+			return fmt.Errorf("load: +%d shard leases for +%d served requests", dLeases, dRequests)
+		}
+		// Balance: the affine tenant spread puts the same number of tenants
+		// on every shard, so uniform traffic must spread within 2x of the
+		// mean — skew here means routing or stealing is hoarding leases on
+		// one shard.
+		if *tenantCount > 0 {
+			mean := float64(dLeases) / float64(len(sh))
+			if mean > 0 && float64(maxLeases) > 2*mean {
+				return fmt.Errorf("load: shard imbalance: max +%d leases against mean %.1f (uniform affine load must stay within 2x)", maxLeases, mean)
 			}
 		}
 	}
-	// The SLO gate reads the HDR histogram's conservative p99 (bucket upper
-	// bound), so a borderline run fails rather than squeaking by.
 	if *sloP99 > 0 {
 		if p99 := time.Duration(latRep.P99NS); p99 > *sloP99 {
 			return fmt.Errorf("load: p99 SLO violated: %v against a %v budget", p99, *sloP99)
@@ -667,23 +639,50 @@ func runLoad(args []string) error {
 }
 
 // loadReport is the -report JSON artifact: the run's shape, throughput and
-// HDR latency summary, plus the SLO verdict when a budget was set.
+// latency summary, plus the SLO verdict when a budget was set.
 type loadReport struct {
-	Requests        int                  `json:"requests"`
-	Workers         int                  `json:"workers"`
-	OpenLoop        bool                 `json:"open_loop"`
-	RateTargetRPS   float64              `json:"rate_target_rps,omitempty"`
-	RateAchievedRPS float64              `json:"rate_achieved_rps"`
-	WallNS          int64                `json:"wall_ns"`
-	OK              int                  `json:"ok"`
-	Faulted         int                  `json:"faulted"`
-	Rejected        int                  `json:"rejected"`
-	Canceled        int                  `json:"canceled"`
-	Deadlined       int                  `json:"deadlined"`
-	TransportErrors int                  `json:"transport_errors"`
-	Latency         report.LatencyReport `json:"latency"`
-	SLOP99NS        int64                `json:"slo_p99_ns,omitempty"`
-	SLOP99Met       *bool                `json:"slo_p99_met,omitempty"`
+	Requests        int           `json:"requests"`
+	Workers         int           `json:"workers"`
+	OpenLoop        bool          `json:"open_loop"`
+	RateTargetRPS   float64       `json:"rate_target_rps,omitempty"`
+	RateAchievedRPS float64       `json:"rate_achieved_rps"`
+	WallNS          int64         `json:"wall_ns"`
+	OK              int           `json:"ok"`
+	Faulted         int           `json:"faulted"`
+	Rejected        int           `json:"rejected"`
+	Canceled        int           `json:"canceled"`
+	Deadlined       int           `json:"deadlined"`
+	TransportErrors int           `json:"transport_errors"`
+	Latency         latencyReport `json:"latency"`
+	SLOP99NS        int64         `json:"slo_p99_ns,omitempty"`
+	SLOP99Met       *bool         `json:"slo_p99_met,omitempty"`
+}
+
+// latencyReport summarises the latencies of the requests the server
+// answered. Quantiles are exact, linearly interpolated between ranks.
+type latencyReport struct {
+	Count  int   `json:"count"`
+	MeanNS int64 `json:"mean_ns"`
+	P50NS  int64 `json:"p50_ns"`
+	P90NS  int64 `json:"p90_ns"`
+	P99NS  int64 `json:"p99_ns"`
+	P999NS int64 `json:"p999_ns"`
+	MaxNS  int64 `json:"max_ns"`
+}
+
+// summarizeLatency builds the latency summary of lats (nanoseconds), which
+// it sorts in place.
+func summarizeLatency(lats []float64) latencyReport {
+	q := func(p float64) int64 { return int64(bench.Percentile(lats, p)) }
+	return latencyReport{
+		Count:  len(lats),
+		MeanNS: int64(bench.Mean(lats)),
+		P50NS:  q(50),
+		P90NS:  q(90),
+		P99NS:  q(99),
+		P999NS: q(99.9),
+		MaxNS:  q(100),
+	}
 }
 
 // loadOutcome is one request's client-side classification.

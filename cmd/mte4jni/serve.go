@@ -6,10 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -28,7 +25,6 @@ func runServe(args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 	sessions := fs.Int("sessions", 64, "maximum concurrent VM sessions")
 	shards := fs.Int("shards", 1, "admission shards the pool is split into ({tenant, scheme}-affine routing with cross-shard work stealing)")
-	cluster := fs.Int("cluster", 0, "run N serve daemons as child processes behind a built-in affinity-routing L7 balancer on -addr (0 = single daemon; every other flag is passed through to each backend)")
 	waiters := fs.Int("waiters", 0, "maximum queued requests before shedding with 503 (0 = 4x sessions)")
 	heapMB := fs.Int("heap-mb", 32, "per-session Java heap size in MiB")
 	seed := fs.Int64("seed", 1, "base tag-RNG seed (session n runs with seed+n)")
@@ -43,10 +39,6 @@ func runServe(args []string) error {
 	attackDecay := fs.Duration("attack-decay", 0, "interval after which an escalated tenant steps one defense tier back down (0 = escalation is permanent)")
 	temporalPolicy := fs.String("temporal-policy", "reject", "what to do with programs whose temporal exposure is live under the requested scheme: reject, force-sync, or log")
 	fs.Parse(args)
-
-	if *cluster > 0 {
-		return runCluster(fs, *cluster, *addr, *addrFile, *shutdownTimeout)
-	}
 
 	policy, err := analysis.ParseTemporalPolicy(*temporalPolicy)
 	if err != nil {
@@ -111,150 +103,6 @@ func runServe(args []string) error {
 	defer cancelTimeout()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
-	}
-	return <-errCh
-}
-
-// runCluster is `serve -cluster N`: N independent serve daemons spawned as
-// child processes (each with its own pool, tag space and fault sink, on an
-// ephemeral port) behind the built-in L7 balancer listening on -addr. Every
-// explicitly set serve flag except -addr/-addr-file/-cluster is passed
-// through to each backend, so `-cluster 2 -shards 4 -sessions 16` means two
-// processes of four shards and sixteen sessions each.
-//
-// Shutdown is drain-aware and ordered: SIGTERM first drains the balancer
-// (no new requests are admitted, in-flight forwards complete), then
-// forwards SIGTERM to every backend — whose own graceful path drains its
-// shards concurrently and asserts the per-shard lease ledgers are zero —
-// and waits for them all. A backend that fails its drain fails the cluster
-// exit status.
-func runCluster(fs *flag.FlagSet, n int, addr, addrFile string, shutdownTimeout time.Duration) error {
-	self, err := os.Executable()
-	if err != nil {
-		return fmt.Errorf("cluster: resolving own binary: %w", err)
-	}
-	tmp, err := os.MkdirTemp("", "mte4jni-cluster-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-
-	// Forward only the flags the operator actually set; each backend keeps
-	// its own defaults for the rest.
-	var passthrough []string
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "addr", "addr-file", "cluster":
-			return
-		}
-		passthrough = append(passthrough, "-"+f.Name+"="+f.Value.String())
-	})
-
-	type backend struct {
-		cmd  *exec.Cmd
-		done chan error
-	}
-	var backends []backend
-	stopAll := func() {
-		for _, b := range backends {
-			b.cmd.Process.Signal(syscall.SIGTERM)
-		}
-		for _, b := range backends {
-			<-b.done
-		}
-	}
-	started := false
-	defer func() {
-		if !started {
-			stopAll()
-		}
-	}()
-
-	addrFiles := make([]string, n)
-	for i := 0; i < n; i++ {
-		addrFiles[i] = filepath.Join(tmp, fmt.Sprintf("addr-%d", i))
-		args := append([]string{"serve", "-addr", "127.0.0.1:0", "-addr-file", addrFiles[i]}, passthrough...)
-		cmd := exec.Command(self, args...)
-		cmd.Stdout = os.Stderr
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			return fmt.Errorf("cluster: starting backend %d: %w", i, err)
-		}
-		done := make(chan error, 1)
-		go func() { done <- cmd.Wait() }()
-		backends = append(backends, backend{cmd: cmd, done: done})
-	}
-
-	urls := make([]string, n)
-	for i := range backends {
-		deadline := time.Now().Add(30 * time.Second)
-		for urls[i] == "" {
-			if data, err := os.ReadFile(addrFiles[i]); err == nil && len(strings.TrimSpace(string(data))) > 0 {
-				urls[i] = "http://" + strings.TrimSpace(string(data))
-				break
-			}
-			select {
-			case err := <-backends[i].done:
-				return fmt.Errorf("cluster: backend %d exited during startup: %v", i, err)
-			default:
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("cluster: backend %d never published its address", i)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
-	bal, err := server.NewBalancer(server.BalancerConfig{Backends: urls})
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	bound := ln.Addr().String()
-	if addrFile != "" {
-		if err := os.WriteFile(addrFile, []byte(bound+"\n"), 0o644); err != nil {
-			ln.Close()
-			return err
-		}
-	}
-	fmt.Fprintf(os.Stderr, "mte4jni serve: cluster of %d backends behind %s\n", n, bound)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- bal.Serve(ln) }()
-	started = true
-
-	select {
-	case err := <-errCh:
-		stopAll()
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Fprintln(os.Stderr, "mte4jni serve: cluster shutting down")
-	shutdownCtx, cancel := signal.NotifyContext(context.WithoutCancel(ctx), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	shutdownCtx, cancelTimeout := context.WithTimeout(shutdownCtx, shutdownTimeout)
-	defer cancelTimeout()
-	if err := bal.Shutdown(shutdownCtx); err != nil {
-		stopAll()
-		return fmt.Errorf("cluster: balancer shutdown: %w", err)
-	}
-	var firstErr error
-	for _, b := range backends {
-		b.cmd.Process.Signal(syscall.SIGTERM)
-	}
-	for i, b := range backends {
-		if err := <-b.done; err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: backend %d shutdown: %w", i, err)
-		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	return <-errCh
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"container/list"
 	"crypto/sha256"
+	"errors"
 	"sync"
 )
 
@@ -107,21 +108,35 @@ const DefaultScreenCacheSize = 1024
 // ScreenCache is a concurrency-safe LRU of screen verdicts keyed by program
 // hash. The key also covers the temporal admission policy the cache serves
 // under (SetTemporalPolicy): a verdict computed under one policy is never
-// served under another, even across a runtime policy flip.
+// served under another, even across a runtime policy flip. Each distinct
+// key is screened once: callers that miss while the first screen of their
+// key is still running wait for it instead of screening again.
 type ScreenCache struct {
-	mu      sync.Mutex
-	max     int
-	policy  TemporalPolicy
-	order   *list.List // front = most recently used
-	entries map[[sha256.Size]byte]*list.Element
-	hits    uint64
-	misses  uint64
+	mu       sync.Mutex
+	max      int
+	policy   TemporalPolicy
+	order    *list.List // front = most recently used
+	entries  map[[sha256.Size]byte]*list.Element
+	inflight map[[sha256.Size]byte]*screenCall
+	hits     uint64
+	misses   uint64
 }
 
 type screenEntry struct {
 	key     [sha256.Size]byte
 	verdict *ScreenVerdict
 }
+
+// screenCall is one in-flight screen; verdict and err are set before done
+// is closed.
+type screenCall struct {
+	done    chan struct{}
+	verdict *ScreenVerdict
+	err     error
+}
+
+// errScreenPanicked is what callers waiting on a screen that panicked get.
+var errScreenPanicked = errors.New("analysis: screen panicked")
 
 // NewScreenCache creates a cache holding at most max verdicts
 // (DefaultScreenCacheSize when max <= 0).
@@ -130,10 +145,11 @@ func NewScreenCache(max int) *ScreenCache {
 		max = DefaultScreenCacheSize
 	}
 	return &ScreenCache{
-		max:     max,
-		policy:  TemporalReject,
-		order:   list.New(),
-		entries: make(map[[sha256.Size]byte]*list.Element),
+		max:      max,
+		policy:   TemporalReject,
+		order:    list.New(),
+		entries:  make(map[[sha256.Size]byte]*list.Element),
+		inflight: make(map[[sha256.Size]byte]*screenCall),
 	}
 }
 
@@ -170,9 +186,10 @@ func (c *ScreenCache) key(raw []byte, policy TemporalPolicy) [sha256.Size]byte {
 }
 
 // ScreenBytes screens a raw JSON program, serving the verdict from cache
-// when the same bytes were screened before. The second result reports a
-// cache hit (the returned verdict then has Cached set). Parse failures are
-// returned as errors and never cached.
+// when the same bytes were screened before or are being screened now. The
+// second result reports a cache hit (the returned verdict then has Cached
+// set); a caller that waited on another's screen counts as a hit. Parse
+// failures reach every waiting caller as errors and are never cached.
 func (c *ScreenCache) ScreenBytes(raw []byte) (*ScreenVerdict, bool, error) {
 	c.mu.Lock()
 	key := c.key(raw, c.policy)
@@ -184,18 +201,39 @@ func (c *ScreenCache) ScreenBytes(raw []byte) (*ScreenVerdict, bool, error) {
 		v.Cached = true
 		return &v, true, nil
 	}
+	if call, ok := c.inflight[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		<-call.done
+		if call.err != nil {
+			return nil, false, call.err
+		}
+		v := *call.verdict
+		v.Cached = true
+		return &v, true, nil
+	}
 	c.misses++
+	call := &screenCall{done: make(chan struct{}), err: errScreenPanicked}
+	c.inflight[key] = call
 	c.mu.Unlock()
+	defer c.settle(key, call)
 
 	p, err := ParseProgram(raw)
-	if err != nil {
-		return nil, false, err
+	if err == nil {
+		call.verdict = Screen(p)
 	}
-	v := Screen(p)
+	call.err = err
+	return call.verdict, false, err
+}
 
+// settle publishes a finished screen: it caches the verdict (never an
+// error) and wakes every caller waiting on the same key. It runs deferred,
+// so a screen that panics still releases its waiters.
+func (c *ScreenCache) settle(key [sha256.Size]byte, call *screenCall) {
 	c.mu.Lock()
-	if _, ok := c.entries[key]; !ok {
-		c.entries[key] = c.order.PushFront(&screenEntry{key: key, verdict: v})
+	delete(c.inflight, key)
+	if call.err == nil {
+		c.entries[key] = c.order.PushFront(&screenEntry{key: key, verdict: call.verdict})
 		if c.order.Len() > c.max {
 			oldest := c.order.Back()
 			c.order.Remove(oldest)
@@ -203,7 +241,7 @@ func (c *ScreenCache) ScreenBytes(raw []byte) (*ScreenVerdict, bool, error) {
 		}
 	}
 	c.mu.Unlock()
-	return v, false, nil
+	close(call.done)
 }
 
 // Len returns the number of cached verdicts.

@@ -411,29 +411,43 @@ func TestScreenProvenanceDerivedOffsets(t *testing.T) {
 	}
 }
 
+// TestScreenCacheConcurrent releases 16 goroutines at once on a cold cache:
+// the first miss screens and every concurrent caller of the same program
+// waits for that screen, so the burst costs exactly one miss. A program
+// that fails to parse reaches every caller of a burst as an error and is
+// never cached.
 func TestScreenCacheConcurrent(t *testing.T) {
+	const workers, rounds = 16, 50
 	c := NewScreenCache(8)
 	bad, err := os.ReadFile("testdata/bad/forged_tag.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				v, _, err := c.ScreenBytes(bad)
-				if err != nil || !v.Rejected() {
-					t.Errorf("screen: %+v err=%v", v, err)
-					return
+	burst := func(raw []byte, check func(v *ScreenVerdict, err error) bool) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < rounds; j++ {
+					if v, _, err := c.ScreenBytes(raw); !check(v, err) {
+						t.Errorf("screen: %+v err=%v", v, err)
+						return
+					}
 				}
-			}
-		}()
+			}()
+		}
+		close(start)
+		wg.Wait()
 	}
-	wg.Wait()
-	hits, misses := c.Stats()
-	if hits+misses != 16*50 {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, 16*50)
+	burst(bad, func(v *ScreenVerdict, err error) bool { return err == nil && v.Rejected() })
+	if hits, misses := c.Stats(); misses != 1 || hits != workers*rounds-1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", hits, misses, workers*rounds-1)
+	}
+	burst([]byte(`{"method":`), func(v *ScreenVerdict, err error) bool { return err != nil && v == nil })
+	if c.Len() != 1 {
+		t.Fatalf("parse failure cached: len=%d", c.Len())
 	}
 }

@@ -319,10 +319,10 @@ func (sh *shard) snapshotLocked() ShardStats {
 	}
 }
 
-// AffinityKey is the routing hash shared by the in-process shard router and
-// the cluster balancer (FNV-1a over tenant, a separator, and the scheme
-// name), so a request lands on the same warm state whether the hop is a
-// shard index or a backend pick.
+// AffinityKey is the shard router's routing hash: FNV-1a over tenant, a
+// separator, and the scheme name, so a tenant's requests under one scheme
+// land on the same shard's warm state. `mte4jni load -tenants` probes it to
+// pick tenants that spread evenly over the shards.
 func AffinityKey(tenant, scheme string) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -275,3 +275,44 @@ func postRunQuiet(ts *httptest.Server, req RunRequest) (int, RunResponse) {
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	return resp.StatusCode, out
 }
+
+// A sharded pool behind the server reports one stats row per shard, the rows
+// reconcile with the pool totals, and graceful shutdown's per-shard drain
+// assertion passes once traffic stops.
+func TestServerShardedMetricsAndDrain(t *testing.T) {
+	s, ts := testServer(t, Config{Pool: pool.Config{MaxSessions: 4, Shards: 2, HeapSize: 8 << 20}})
+
+	for i := 0; i < 8; i++ {
+		tenant := "shard-tenant-" + string(rune('a'+i))
+		code, _ := postRun(t, ts, RunRequest{
+			Scheme: "sync", Workload: "PDF Renderer", Iterations: 1, Tenant: tenant,
+		})
+		if code != 200 {
+			t.Fatalf("request %d: status %d", i, code)
+		}
+	}
+
+	var m MetricsResponse
+	getJSON(t, ts, "/metrics", &m)
+	if len(m.Pool.Shards) != 2 {
+		t.Fatalf("shard rows = %d, want 2", len(m.Pool.Shards))
+	}
+	var leases, created, reused uint64
+	for _, sh := range m.Pool.Shards {
+		leases += sh.Leases
+		created += sh.Created
+		reused += sh.Reused
+	}
+	if leases != 8 {
+		t.Fatalf("sum of shard leases = %d, want 8", leases)
+	}
+	if leases != created+reused {
+		t.Fatalf("lease ledger broken: leases=%d created=%d reused=%d", leases, created, reused)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("sharded shutdown drain: %v", err)
+	}
+}

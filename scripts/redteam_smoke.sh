@@ -25,19 +25,10 @@ set -eu
 GO="${GO:-go}"
 TMP="$(mktemp -d)"
 BIN="$TMP/mte4jni"
-ADDR_FILE="$TMP/addr"
-LOG="$TMP/serve.log"
 REPORT="$TMP/redteam.json"
-SERVE_PID=""
-
-cleanup() {
-	if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-		kill "$SERVE_PID" 2>/dev/null || true
-		wait "$SERVE_PID" 2>/dev/null || true
-	fi
-	rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
+NAME=redteam-smoke
+. "$(dirname "$0")/daemon.sh"
+trap daemon_cleanup EXIT INT TERM
 
 "$GO" build -o "$BIN" ./cmd/mte4jni
 
@@ -65,27 +56,9 @@ if ! grep -q '"detection_probability": 0.9375' "$REPORT"; then
 fi
 
 # --- Stage 2: serving tier under attack -------------------------------------
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE" -sessions 4 -heap-mb 2 \
+start_daemon defense -sessions 4 -heap-mb 2 \
 	-attack-delay-threshold 2 -attack-quarantine-threshold 4 \
-	-attack-delay 200us >"$LOG" 2>&1 &
-SERVE_PID=$!
-
-i=0
-while [ ! -s "$ADDR_FILE" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "redteam-smoke: server never published its address" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "redteam-smoke: server exited during startup" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL="http://$(cat "$ADDR_FILE")"
+	-attack-delay 200us
 
 # 40 requests, every 3rd an attack probe from tenant "redteam" (13 attacks).
 # With thresholds 2/4: attacks 1-2 admitted, 3-4 throttled then admitted
@@ -101,28 +74,11 @@ URL="http://$(cat "$ADDR_FILE")"
 # sessions, 2 throttled admissions, 2 tier crossings (reseeds), 1 tenant
 # quarantined, and a detection probability of exactly 1 for the serving
 # probe's deterministic forged store.
-if command -v curl >/dev/null 2>&1; then
-	METRICS="$TMP/metrics.json"
-	curl -fsS "$URL/metrics" >"$METRICS"
-	for want in '"requests_total":31' '"attack_probes_total":4' \
-		'"detections_total":4' '"faults_total":4' '"quarantined":4' \
-		'"throttled_total":2' '"reseeds_total":2' \
-		'"tenants_quarantined_total":1' \
-		'"detection_probability":1' '"probes_to_detect_buckets"'; do
-		if ! grep -q "$want" "$METRICS"; then
-			echo "redteam-smoke: /metrics missing $want:" >&2
-			cat "$METRICS" >&2
-			exit 1
-		fi
-	done
-fi
-
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "redteam-smoke: server did not shut down cleanly" >&2
-	cat "$LOG" >&2
-	exit 1
-fi
-SERVE_PID=""
+check_metrics '"requests_total":31' '"attack_probes_total":4' \
+	'"detections_total":4' '"faults_total":4' '"quarantined":4' \
+	'"throttled_total":2' '"reseeds_total":2' \
+	'"tenants_quarantined_total":1' \
+	'"detection_probability":1' '"probes_to_detect_buckets"'
+stop_daemon
 
 echo "redteam-smoke: ok (campaign passed the 15/16 model + blind-spot gates; 13 attacks -> 4 detected, 2 throttled, 9 refused, 2 reseeds reconciled exactly)"

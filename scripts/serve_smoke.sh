@@ -2,52 +2,27 @@
 # serve_smoke.sh — end-to-end gate for the serving layer (make serve-smoke).
 #
 # Builds the CLI, starts `mte4jni serve` on an ephemeral port with the full
-# 64-session pool, drives it with `mte4jni load` twice (a mixed run with
-# injected faults, then a 64-worker full-capacity burst), and checks that
-# the daemon shuts down cleanly on SIGTERM. The load generator fails on any
-# verdict mismatch or metrics discrepancy, so a zero exit here means: every
-# injected fault came back as a structured report, no clean request faulted,
-# and the server-side counters reconcile with what was sent.
+# 64-session pool, drives it with `mte4jni load` (a mixed run with injected
+# faults, a 64-worker full-capacity burst, an admission-screening run), and
+# checks that the daemon shuts down cleanly on SIGTERM; then does the same
+# for three more daemons: the execution-context spine, temporal screening,
+# and 8 admission shards (closed-loop and open-loop SLO-gated runs). The
+# load generator fails on any verdict mismatch or metrics discrepancy, so a
+# zero exit here means: every injected fault came back as a structured
+# report, no clean request faulted, and the server-side counters reconcile
+# with what was sent.
 set -eu
 
 GO="${GO:-go}"
 TMP="$(mktemp -d)"
 BIN="$TMP/mte4jni"
-ADDR_FILE="$TMP/addr"
-LOG="$TMP/serve.log"
-SERVE_PID=""
-
-cleanup() {
-	if [ -n "$SERVE_PID" ] && kill -0 "$SERVE_PID" 2>/dev/null; then
-		kill "$SERVE_PID" 2>/dev/null || true
-		wait "$SERVE_PID" 2>/dev/null || true
-	fi
-	rm -rf "$TMP"
-}
-trap cleanup EXIT INT TERM
+NAME=serve-smoke
+. "$(dirname "$0")/daemon.sh"
+trap daemon_cleanup EXIT INT TERM
 
 "$GO" build -o "$BIN" ./cmd/mte4jni
 
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE" -sessions 64 -heap-mb 16 >"$LOG" 2>&1 &
-SERVE_PID=$!
-
-# Wait for the daemon to bind and publish its address.
-i=0
-while [ ! -s "$ADDR_FILE" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "serve-smoke: server never published its address" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: server exited during startup" >&2
-		cat "$LOG" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL="http://$(cat "$ADDR_FILE")"
+start_daemon main -sessions 64 -heap-mb 16
 
 # Mixed run: 50 requests, every 10th a deliberately-faulting OOB probe.
 # The load generator reconciles the *change* in /metrics over each run, so
@@ -71,23 +46,15 @@ URL="http://$(cat "$ADDR_FILE")"
 # The 45+180+42 = 267 canned-safe executions each ran proof-carrying with
 # exactly one guard-free site, and none may have fallen back to checked.
 if command -v curl >/dev/null 2>&1; then
-	METRICS="$TMP/metrics.json"
-	curl -fsS "$URL/metrics" >"$METRICS"
 	# Of the 15 screenings, the 5 reject_forge submissions each carry a
 	# window-risk temporal finding (the forged store's damage window); under
 	# the default reject policy none is a *temporal* rejection because the
 	# fault screen already turned them away.
-	for want in '"requests_total":287' '"faults_total":20' '"quarantined":20' \
+	check_metrics '"requests_total":287' '"faults_total":20' '"quarantined":20' \
 		'"screened_total":15' '"screen_rejected_total":15' \
 		'"temporal_flagged_total":5' '"temporal_window_risk_total":5' \
 		'"temporal_rejected_total":0' \
-		'"elided_sites_total":267' '"elision_invalidated_total":0'; do
-		if ! grep -q "$want" "$METRICS"; then
-			echo "serve-smoke: /metrics missing $want:" >&2
-			cat "$METRICS" >&2
-			exit 1
-		fi
-	done
+		'"elided_sites_total":267' '"elision_invalidated_total":0'
 
 	# Hierarchical tag-storage reconciliation. The warm pool still holds live
 	# sessions here, so: the counters must be present, the workloads must have
@@ -95,14 +62,8 @@ if command -v curl >/dev/null 2>&1; then
 	# tagging, zero-dedup from fresh mappings), and the two-level table must
 	# be paying >=10x less than the flat tag array would for the same
 	# mappings — the headline claim of this storage design.
-	for key in tag_pages_materialized_total tag_pages_uniform_total \
-		tag_zero_dedup_hits_total tag_bytes_resident tag_bytes_flat_equiv; do
-		if ! grep -q "\"$key\":" "$METRICS"; then
-			echo "serve-smoke: /metrics missing tag-storage counter $key:" >&2
-			cat "$METRICS" >&2
-			exit 1
-		fi
-	done
+	check_metrics '"tag_pages_materialized_total":' '"tag_pages_uniform_total":' \
+		'"tag_zero_dedup_hits_total":' '"tag_bytes_resident":' '"tag_bytes_flat_equiv":'
 	materialized="$(sed -n 's/.*"tag_pages_materialized_total":\([0-9]*\).*/\1/p' "$METRICS")"
 	dedup="$(sed -n 's/.*"tag_zero_dedup_hits_total":\([0-9]*\).*/\1/p' "$METRICS")"
 	resident="$(sed -n 's/.*"tag_bytes_resident":\([0-9]*\).*/\1/p' "$METRICS")"
@@ -120,13 +81,7 @@ if command -v curl >/dev/null 2>&1; then
 fi
 
 # Graceful shutdown: SIGTERM must produce a clean exit 0.
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: server did not shut down cleanly" >&2
-	cat "$LOG" >&2
-	exit 1
-fi
-SERVE_PID=""
+stop_daemon
 
 # --- Execution-context spine: cancellation and deadline run -----------------
 # A second instance with the spine's budgets enabled: a 400ms per-request
@@ -136,57 +91,20 @@ SERVE_PID=""
 # kill (-deadline-rate) alongside faults and screen rejects; the generator
 # reconciles canceled_total/deadline_exceeded_total exactly and fails if any
 # lease leaks (pool.leased != 0 after the drain).
-ADDR_FILE2="$TMP/addr2"
-LOG2="$TMP/serve2.log"
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE2" -sessions 8 -heap-mb 16 \
-	-run-timeout 400ms -step-budget $((1 << 40)) -shutdown-timeout 5s >"$LOG2" 2>&1 &
-SERVE_PID=$!
-
-i=0
-while [ ! -s "$ADDR_FILE2" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "serve-smoke: spine server never published its address" >&2
-		cat "$LOG2" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: spine server exited during startup" >&2
-		cat "$LOG2" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL2="http://$(cat "$ADDR_FILE2")"
+start_daemon spine -sessions 8 -heap-mb 16 \
+	-run-timeout 400ms -step-budget $((1 << 40)) -shutdown-timeout 5s
 
 # 40 requests: 8 client-canceled runaways, 4 deadline-killed runaways,
 # 3 screen rejects, 4 injected faults (precedence reject > cancel >
 # deadline > fault keeps the classes disjoint at these rates).
-"$BIN" load -url "$URL2" -n 40 -c 8 -fault-every 9 -reject-rate 11 \
+"$BIN" load -url "$URL" -n 40 -c 8 -fault-every 9 -reject-rate 11 \
 	-cancel-rate 5 -deadline-rate 7
 
 # Cross-check the abort counters and the lease ledger cumulatively.
-if command -v curl >/dev/null 2>&1; then
-	METRICS2="$TMP/metrics2.json"
-	curl -fsS "$URL2/metrics" >"$METRICS2"
-	for want in '"canceled_total":8' '"deadline_exceeded_total":4' \
-		'"leased":0' '"quarantined":4' \
-		'"elided_sites_total":21' '"elision_invalidated_total":0'; do
-		if ! grep -q "$want" "$METRICS2"; then
-			echo "serve-smoke: spine /metrics missing $want:" >&2
-			cat "$METRICS2" >&2
-			exit 1
-		fi
-	done
-fi
-
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: spine server did not shut down cleanly" >&2
-	cat "$LOG2" >&2
-	exit 1
-fi
-SERVE_PID=""
+check_metrics '"canceled_total":8' '"deadline_exceeded_total":4' \
+	'"leased":0' '"quarantined":4' \
+	'"elided_sites_total":21' '"elision_invalidated_total":0'
+stop_daemon
 
 # --- Temporal screening: admission-policy run -------------------------------
 # A third instance under the default -temporal-policy reject, driven purely
@@ -198,160 +116,51 @@ SERVE_PID=""
 # are rejected by the temporal policy with the full provenance chain. The
 # load generator reconciles every temporal counter delta exactly; the greps
 # below pin the cumulative values.
-ADDR_FILE3="$TMP/addr3"
-LOG3="$TMP/serve3.log"
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE3" -sessions 4 -heap-mb 16 \
-	-temporal-policy reject >"$LOG3" 2>&1 &
-SERVE_PID=$!
+start_daemon temporal -sessions 4 -heap-mb 16 -temporal-policy reject
 
-i=0
-while [ ! -s "$ADDR_FILE3" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "serve-smoke: temporal server never published its address" >&2
-		cat "$LOG3" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: temporal server exited during startup" >&2
-		cat "$LOG3" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL3="http://$(cat "$ADDR_FILE3")"
+"$BIN" load -url "$URL" -n 12 -c 4 -temporal-rate 1
 
-"$BIN" load -url "$URL3" -n 12 -c 4 -temporal-rate 1
+check_metrics '"temporal_flagged_total":12' '"temporal_window_risk_total":3' \
+	'"temporal_scan_race_total":3' '"temporal_guardedcopy_blindspot_total":6' \
+	'"temporal_rejected_total":3' \
+	'"screened_total":12' '"screen_rejected_total":9' \
+	'"requests_total":0' '"faults_total":0'
+stop_daemon
 
-if command -v curl >/dev/null 2>&1; then
-	METRICS3="$TMP/metrics3.json"
-	curl -fsS "$URL3/metrics" >"$METRICS3"
-	for want in '"temporal_flagged_total":12' '"temporal_window_risk_total":3' \
-		'"temporal_scan_race_total":3' '"temporal_guardedcopy_blindspot_total":6' \
-		'"temporal_rejected_total":3' \
-		'"screened_total":12' '"screen_rejected_total":9' \
-		'"requests_total":0' '"faults_total":0'; do
-		if ! grep -q "$want" "$METRICS3"; then
-			echo "serve-smoke: temporal /metrics missing $want:" >&2
-			cat "$METRICS3" >&2
-			exit 1
-		fi
-	done
-fi
-
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: temporal server did not shut down cleanly" >&2
-	cat "$LOG3" >&2
-	exit 1
-fi
-SERVE_PID=""
-
-# --- Sharded admission: per-shard reconciliation run ------------------------
+# --- Sharded admission: per-shard reconciliation and open-loop SLO runs -----
 # A fourth instance with the pool split into 8 admission shards. The load
-# generator constructs 32 tenants whose affinity keys spread 4-per-shard by
-# construction (-tenants 32 -expect-shards 8), so 128 requests land 16 on
-# each shard; it then reconciles the per-shard counters exactly — the sum of
-# shard_leases_total must equal created+reused, sheds must equal the pool's
-# rejected counter, every shard must end with zero leased and zero waiters,
-# and no shard may exceed 2x the mean lease count under this uniform load.
-ADDR_FILE4="$TMP/addr4"
-LOG4="$TMP/serve4.log"
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE4" -sessions 64 -shards 8 \
-	-heap-mb 16 >"$LOG4" 2>&1 &
-SERVE_PID=$!
+# generator reads the shard count from the /metrics baseline and picks 32
+# tenants whose affinity keys spread 4-per-shard by construction
+# (-tenants 32), so 128 requests land 16 on each shard; it then reconciles
+# the per-shard counters exactly — the sum of shard_leases_total must equal
+# created+reused, sheds must equal the pool's rejected counter, every shard
+# must end with zero leased and zero waiters, and no shard may exceed 2x
+# the mean lease count under this uniform load.
+start_daemon sharded -sessions 64 -shards 8 -heap-mb 16
 
-i=0
-while [ ! -s "$ADDR_FILE4" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ]; then
-		echo "serve-smoke: sharded server never published its address" >&2
-		cat "$LOG4" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: sharded server exited during startup" >&2
-		cat "$LOG4" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL4="http://$(cat "$ADDR_FILE4")"
+"$BIN" load -url "$URL" -n 128 -c 16 -tenants 32
 
-"$BIN" load -url "$URL4" -n 128 -c 16 -tenants 32 -expect-shards 8
+check_metrics '"shard_leases_total"' '"shard_steals_total"' '"shard_shed_total"' \
+	'"requests_total":128'
 
-if command -v curl >/dev/null 2>&1; then
-	METRICS4="$TMP/metrics4.json"
-	curl -fsS "$URL4/metrics" >"$METRICS4"
-	for want in '"shard_leases_total"' '"shard_steals_total"' '"shard_shed_total"' \
-		'"requests_total":128'; do
-		if ! grep -q "$want" "$METRICS4"; then
-			echo "serve-smoke: sharded /metrics missing $want:" >&2
-			cat "$METRICS4" >&2
-			exit 1
-		fi
-	done
-fi
-
-# Graceful shutdown runs the per-shard drain assertion: a nonzero lease
-# ledger on any shard turns into a nonzero daemon exit here.
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: sharded server did not shut down cleanly" >&2
-	cat "$LOG4" >&2
-	exit 1
-fi
-SERVE_PID=""
-
-# --- Cluster: balancer + open-loop SLO run ----------------------------------
-# Two backend daemons (2 shards, 16 sessions each) behind the built-in L7
-# balancer. Open-loop Poisson arrivals at 400 req/s exercise the balancer's
-# affinity routing and /metrics aggregation; the load generator gates on
-# p99 <= 2s from its HDR histogram and writes the JSON report checked below.
-# SIGTERM to the parent must drain the balancer, forward the signal to both
-# backends (each running its own per-shard drain assertion), and exit zero.
-ADDR_FILE5="$TMP/addr5"
-LOG5="$TMP/serve5.log"
-REPORT5="$TMP/report5.json"
-"$BIN" serve -addr 127.0.0.1:0 -addr-file "$ADDR_FILE5" -cluster 2 -shards 2 \
-	-sessions 16 -heap-mb 16 >"$LOG5" 2>&1 &
-SERVE_PID=$!
-
-i=0
-while [ ! -s "$ADDR_FILE5" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 200 ]; then
-		echo "serve-smoke: cluster never published its address" >&2
-		cat "$LOG5" >&2
-		exit 1
-	fi
-	if ! kill -0 "$SERVE_PID" 2>/dev/null; then
-		echo "serve-smoke: cluster exited during startup" >&2
-		cat "$LOG5" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-URL5="http://$(cat "$ADDR_FILE5")"
-
-"$BIN" load -url "$URL5" -n 120 -c 8 -rate 400 -tenants 8 -slo-p99 2s -report "$REPORT5"
+# Open-loop Poisson arrivals at 400 req/s over one tenant per shard, with
+# the same per-shard reconciliation; the load generator gates on an exact
+# p99 <= 2s and writes the JSON report checked below.
+REPORT="$TMP/report.json"
+"$BIN" load -url "$URL" -n 120 -c 8 -rate 400 -tenants 8 -slo-p99 2s -report "$REPORT"
 
 for want in '"p99_ns"' '"p999_ns"' '"slo_p99_met": true' '"open_loop": true' \
 	'"ok": 120'; do
-	if ! grep -q "$want" "$REPORT5"; then
+	if ! grep -q "$want" "$REPORT"; then
 		echo "serve-smoke: load report missing $want:" >&2
-		cat "$REPORT5" >&2
+		cat "$REPORT" >&2
 		exit 1
 	fi
 done
 
-kill -TERM "$SERVE_PID"
-if ! wait "$SERVE_PID"; then
-	echo "serve-smoke: cluster did not shut down cleanly" >&2
-	cat "$LOG5" >&2
-	exit 1
-fi
-SERVE_PID=""
+# Graceful shutdown runs the per-shard drain assertion: a nonzero lease
+# ledger on any shard turns into a nonzero daemon exit here.
+stop_daemon
 
 # --- Shard-scaling gate -----------------------------------------------------
 # The pool throughput bench rows (pool/Throughput/shards=N, each the fastest
@@ -360,14 +169,14 @@ SERVE_PID=""
 # cost); and when the host has >= 4 CPUs, 8 shards must be at least 2x
 # faster than 1 (the lock split must actually scale). On fewer cores the
 # speedup gate is skipped, and says so.
-BENCH5="$TMP/bench5.json"
-"$GO" test -run '^$' -bench Throughput -benchtime 20ms -count 5 ./internal/pool >"$TMP/bench5.txt"
-"$BIN" bench -parse "$TMP/bench5.txt" -o "$BENCH5"
+BENCH="$TMP/bench.json"
+"$GO" test -run '^$' -bench Throughput -benchtime 20ms -count 5 ./internal/pool >"$TMP/bench.txt"
+"$BIN" bench -parse "$TMP/bench.txt" -o "$BENCH"
 row_ns() {
 	awk -F': ' -v name="$1" '
 		index($0, "\"" name "\"") { f = 1 }
 		f && /"ns_per_op"/ { gsub(/,/, "", $2); print $2; exit }
-	' "$BENCH5"
+	' "$BENCH"
 }
 NS1="$(row_ns "pool/Throughput/shards=1")"
 NS8="$(row_ns "pool/Throughput/shards=8")"
@@ -390,4 +199,4 @@ else
 	echo "serve-smoke: shard scaling speedup gate skipped (it needs >= 4 CPUs, this host has $CPUS); non-regression held (shards=1 $NS1 ns/op, shards=8 $NS8 ns/op)"
 fi
 
-echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag residency >=10x under flat, 12 temporal corpus programs flagged with 3 policy rejections, 128 requests reconciled exactly across 8 shards, cluster of 2 drained under the p99 SLO, clean shutdown)"
+echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag residency >=10x under flat, 12 temporal corpus programs flagged with 3 policy rejections, 128 closed-loop + 120 open-loop requests reconciled exactly across 8 shards under the p99 SLO, clean shutdown)"
