@@ -51,7 +51,7 @@ bench-pass:
 	run '^BenchmarkLoad64(Checked|Unguarded)$$' ./internal/mem; \
 	run '^Benchmark(CopyOutChecked|CopyOutUnguarded|MoveChecked|SetTagRange)$$/^n=16384$$' ./internal/mem; \
 	run '^BenchmarkAllocFree(Serial|Parallel8)$$/^size=256$$' ./internal/heap; \
-	run '^Benchmark(ScreenInline|Throughput)$$' ./internal/analysis ./internal/pool
+	run '^Benchmark(ScreenInline|Throughput|SessionBuild)$$' ./internal/analysis ./internal/pool
 
 # A benchmark snapshot (~7 min): ten bench-pass runs, folded by `mte4jni
 # bench -parse` into one row per benchmark (its fastest run, with the

@@ -34,7 +34,7 @@ func runLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:8321", "server base URL")
 	n := fs.Int("n", 50, "total requests")
-	c := fs.Int("c", 8, "concurrent workers")
+	c := fs.Int("c", 8, "concurrent workers (closed loop; -rate ignores it)")
 	scheme := fs.String("scheme", "sync", "protection scheme for every request (none, guarded, sync, async)")
 	workload := fs.String("workload", "", "run this built-in workload instead of the canned safe probe")
 	iters := fs.Int("iters", 1, "workload iterations per request")
@@ -334,8 +334,15 @@ func runLoad(args []string) error {
 		}
 	}
 	latRep := summarizeLatency(lats)
-	fmt.Printf("load: %d requests over %d workers in %v (%.0f req/s)\n",
-		*n, *c, wall.Round(time.Millisecond), float64(*n)/wall.Seconds())
+	// The open loop starts one goroutine per arrival and ignores -c, so it
+	// has no worker count to report.
+	shape := fmt.Sprintf("over %d workers", *c)
+	workers := *c
+	if *rate > 0 {
+		shape, workers = "open loop", 0
+	}
+	fmt.Printf("load: %d requests %s in %v (%.0f req/s)\n",
+		*n, shape, wall.Round(time.Millisecond), float64(*n)/wall.Seconds())
 	fmt.Printf("  ok=%d faulted=%d (injected %d) rejected=%d canceled=%d deadlined=%d transport-errors=%d\n",
 		ok, faulted, injected, rejected, canceled, deadlined, failed)
 	fmt.Printf("  elision: guard-free sites=%d invalidated-runs=%d\n", elidedSites, invalidated)
@@ -361,7 +368,7 @@ func runLoad(args []string) error {
 	if *reportFile != "" {
 		rep := loadReport{
 			Requests:        *n,
-			Workers:         *c,
+			Workers:         workers,
 			OpenLoop:        *rate > 0,
 			RateTargetRPS:   *rate,
 			RateAchievedRPS: float64(*n) / wall.Seconds(),
@@ -642,7 +649,7 @@ func runLoad(args []string) error {
 // latency summary, plus the SLO verdict when a budget was set.
 type loadReport struct {
 	Requests        int           `json:"requests"`
-	Workers         int           `json:"workers"`
+	Workers         int           `json:"workers,omitempty"` // closed loop only
 	OpenLoop        bool          `json:"open_loop"`
 	RateTargetRPS   float64       `json:"rate_target_rps,omitempty"`
 	RateAchievedRPS float64       `json:"rate_achieved_rps"`

@@ -59,7 +59,10 @@ func (s NativeSummary) touch(e *jni.Env, base mte.Ptr) {
 	if !s.Touches() {
 		return
 	}
-	offs := []int64{s.MinOff}
+	// The backing array stays on the stack for the common summaries; every
+	// served native call runs this.
+	var buf [4]int64
+	offs := append(buf[:0], s.MinOff)
 	if s.MaxOff != s.MinOff {
 		offs = append(offs, s.MaxOff)
 	}

@@ -44,6 +44,11 @@ type ScreenVerdict struct {
 	// Never serialized: proofs ride the admission path, not the wire. The
 	// Elision is immutable after compilation, so cache copies share it.
 	Elision *Elision `json:"-"`
+	// Program is the parsed program the verdict was computed from, set by
+	// ScreenCache so the caller runs what was screened without parsing the
+	// bytes again. Never serialized, never mutated after parsing, so cache
+	// copies share it.
+	Program *Program `json:"-"`
 }
 
 // Rejected reports whether the verdict rejects the program at admission.
@@ -221,6 +226,7 @@ func (c *ScreenCache) ScreenBytes(raw []byte) (*ScreenVerdict, bool, error) {
 	p, err := ParseProgram(raw)
 	if err == nil {
 		call.verdict = Screen(p)
+		call.verdict.Program = p
 	}
 	call.err = err
 	return call.verdict, false, err

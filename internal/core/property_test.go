@@ -35,9 +35,12 @@ func TestPropertyAcquireReleaseTransparent(t *testing.T) {
 		if err != nil {
 			return true // heap pressure
 		}
-		raw, _ := arr.Bytes()
+		raw := make([]byte, size)
 		for i := range raw {
 			raw[i] = fill
+		}
+		if err := v.JavaHeap.Mapping().WriteRaw(arr.DataBegin(), raw); err != nil {
+			return false
 		}
 		ptr, err := p.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
 		if err != nil {
@@ -52,7 +55,10 @@ func TestPropertyAcquireReleaseTransparent(t *testing.T) {
 		if v.JavaHeap.Mapping().TagAt(arr.DataBegin()) != 0 {
 			return false
 		}
-		after, _ := arr.Bytes()
+		after := make([]byte, size)
+		if err := v.JavaHeap.Mapping().ReadRaw(arr.DataBegin(), after); err != nil {
+			return false
+		}
 		for i := range after {
 			if after[i] != fill {
 				return false

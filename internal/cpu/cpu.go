@@ -55,6 +55,9 @@ type Context struct {
 	// guarded for the benefit of the race detector.
 	framesMu sync.Mutex
 	frames   []string
+	// leave is the frame-pop function Enter hands out, bound once here so
+	// entering a frame allocates nothing (every native call enters two).
+	leave func()
 }
 
 // state word layout: TCF mode in the low bits, TCO above it.
@@ -68,6 +71,7 @@ const (
 func New(name string, mode mte.CheckMode) *Context {
 	c := &Context{name: name}
 	c.state.Store(int32(mode)&stateTCFMask | stateTCOBit)
+	c.leave = c.popFrame
 	return c
 }
 
@@ -123,20 +127,23 @@ func (c *Context) Checking() bool {
 func (c *Context) TLB() *TLB { return &c.tlb }
 
 // Enter pushes a simulated stack frame labelled pc and returns a function
-// that pops it. Use with defer:
+// that pops the innermost frame. Use with defer:
 //
 //	defer ctx.Enter("test_ofb+0")()
 func (c *Context) Enter(pc string) func() {
 	c.framesMu.Lock()
 	c.frames = append(c.frames, pc)
 	c.framesMu.Unlock()
-	return func() {
-		c.framesMu.Lock()
-		if n := len(c.frames); n > 0 {
-			c.frames = c.frames[:n-1]
-		}
-		c.framesMu.Unlock()
+	return c.leave
+}
+
+// popFrame pops the innermost frame; popping an empty stack is a no-op.
+func (c *Context) popFrame() {
+	c.framesMu.Lock()
+	if n := len(c.frames); n > 0 {
+		c.frames = c.frames[:n-1]
 	}
+	c.framesMu.Unlock()
 }
 
 // SetPC replaces the label of the innermost frame, simulating the program

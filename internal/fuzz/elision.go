@@ -393,11 +393,11 @@ func DifferentialElidedEngines(seed int64, steps int, mode mte.CheckMode) error 
 	// Final sweep: memory bytes and tags must be identical in all worlds.
 	for i, ma := range fast.maps {
 		mb, mc := refW.maps[i], elw.maps[i]
-		ba, errA := ma.Bytes(ma.Base(), int(ma.Size()))
-		bb, errB := mb.Bytes(mb.Base(), int(mb.Size()))
-		bc, errC := mc.Bytes(mc.Base(), int(mc.Size()))
+		ba, errA := mappingBytes(ma)
+		bb, errB := mappingBytes(mb)
+		bc, errC := mappingBytes(mc)
 		if errA != nil || errB != nil || errC != nil {
-			return fmt.Errorf("final sweep: Bytes failed (%v, %v, %v)", errA, errB, errC)
+			return fmt.Errorf("final sweep: ReadRaw failed (%v, %v, %v)", errA, errB, errC)
 		}
 		if !bytes.Equal(ba, bb) || !bytes.Equal(bc, ba) {
 			return fmt.Errorf("final sweep: mapping %q contents diverged", ma.Name())

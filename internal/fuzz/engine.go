@@ -33,6 +33,12 @@ type engineWorld struct {
 	maps  []*mem.Mapping
 }
 
+// mappingBytes reads a whole mapping's bytes for the final sweeps.
+func mappingBytes(m *mem.Mapping) ([]byte, error) {
+	b := make([]byte, m.Size())
+	return b, m.ReadRaw(m.Base(), b)
+}
+
 // mapBoth creates the same mapping in both worlds and fails on any layout
 // divergence (placement is deterministic, so bases must be equal).
 func mapBoth(a, b *engineWorld, name string, size uint64, prot mem.Prot) error {
@@ -101,18 +107,23 @@ func DifferentialEngines(seed int64, steps int, mode mte.CheckMode) error {
 	}
 
 	// randPtr picks an address biased toward interesting places: inside a
-	// mapping (at random alignment), exactly at a boundary, or in the guard
-	// gap / unmapped space past one.
+	// mapping (at random alignment), exactly at a boundary, just below a
+	// 16 KiB data-page boundary (so fixed-width accesses straddle two pages
+	// and spans cross one), or in the guard gap / unmapped space past one.
 	randPtr := func() mte.Ptr {
 		m := fast.maps[rng.Intn(len(fast.maps))]
 		var addr mte.Addr
-		switch rng.Intn(8) {
+		switch rng.Intn(9) {
 		case 0:
 			addr = m.End() // one past the end
 		case 1:
 			addr = m.End() + mte.Addr(rng.Intn(4096)) // guard gap
 		case 2:
 			addr = m.Base() + mte.Addr(m.Size()) - mte.Addr(1+rng.Intn(32)) // tail
+		case 3:
+			const dataPage = 16384
+			pages := int(m.Size()) / dataPage
+			addr = m.Base() + mte.Addr(dataPage*(1+rng.Intn(pages+1))) - mte.Addr(1+rng.Intn(32))
 		default:
 			addr = m.Base() + mte.Addr(rng.Intn(int(m.Size())))
 		}
@@ -309,10 +320,10 @@ func DifferentialEngines(seed int64, steps int, mode mte.CheckMode) error {
 	// Final sweep: memory bytes and tags must be identical everywhere.
 	for i, ma := range fast.maps {
 		mb := refW.maps[i]
-		ba, errA := ma.Bytes(ma.Base(), int(ma.Size()))
-		bb, errB := mb.Bytes(mb.Base(), int(mb.Size()))
+		ba, errA := mappingBytes(ma)
+		bb, errB := mappingBytes(mb)
 		if errA != nil || errB != nil {
-			return fmt.Errorf("final sweep: Bytes failed (%v, %v)", errA, errB)
+			return fmt.Errorf("final sweep: ReadRaw failed (%v, %v)", errA, errB)
 		}
 		if !bytes.Equal(ba, bb) {
 			return fmt.Errorf("final sweep: mapping %q contents diverged", ma.Name())

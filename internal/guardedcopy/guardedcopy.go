@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"mte4jni/internal/jni"
+	"mte4jni/internal/mem"
 	"mte4jni/internal/mte"
 	"mte4jni/internal/vm"
 )
@@ -112,11 +113,21 @@ func New(v *vm.VM) *Checker {
 // Name implements jni.Checker.
 func (c *Checker) Name() string { return "guarded-copy" }
 
-// fillCanary writes the repeating canary pattern over dst.
-func fillCanary(dst []byte) {
-	for i := range dst {
-		dst[i] = canaryPattern[i%len(canaryPattern)]
+// canaryZone is one red zone's worth of the repeating canary pattern; both
+// zones of every buffer start the pattern at their own first byte.
+var canaryZone = func() (z [RedZoneSize]byte) {
+	for i := range z {
+		z[i] = canaryPattern[i%len(canaryPattern)]
 	}
+	return z
+}()
+
+// checksum is the Adler-32 of the raw bytes at [addr, addr+n) of m, read in
+// place page by page.
+func checksum(m *mem.Mapping, addr mte.Addr, n int) (uint32, error) {
+	h := adler32.New()
+	err := m.VisitRaw(addr, n, func(window []byte) { h.Write(window) })
+	return h.Sum32(), err
 }
 
 // Acquire implements jni.Checker: allocate red zone + copy + red zone in
@@ -128,23 +139,26 @@ func (c *Checker) Acquire(t *vm.Thread, obj *vm.Object, begin, end mte.Addr) (mt
 	if err != nil {
 		return 0, fmt.Errorf("guardedcopy: allocating guarded buffer: %w", err)
 	}
-	buf, err := c.vm.NativeHeap.Mapping().Bytes(bufAddr, 2*RedZoneSize+size)
+	native, java := c.vm.NativeHeap.Mapping(), c.vm.JavaHeap.Mapping()
+	if err := native.WriteRaw(bufAddr, canaryZone[:]); err != nil {
+		return 0, err
+	}
+	if err := native.WriteRaw(bufAddr+RedZoneSize+mte.Addr(size), canaryZone[:]); err != nil {
+		return 0, err
+	}
+
+	// Copy the original payload into the middle of the buffer.
+	if err := native.CopyRaw(bufAddr+RedZoneSize, java, begin, size); err != nil {
+		return 0, fmt.Errorf("guardedcopy: reading original payload: %w", err)
+	}
+	sum, err := checksum(java, begin, size)
 	if err != nil {
 		return 0, err
 	}
-	fillCanary(buf[:RedZoneSize])
-	fillCanary(buf[RedZoneSize+size:])
-
-	// Copy the original payload into the middle of the buffer.
-	src, err := c.vm.JavaHeap.Mapping().Bytes(begin, size)
-	if err != nil {
-		return 0, fmt.Errorf("guardedcopy: reading original payload: %w", err)
-	}
-	copy(buf[RedZoneSize:RedZoneSize+size], src)
 
 	p := mte.MakePtr(bufAddr+RedZoneSize, 0)
 	c.mu.Lock()
-	c.recs[p] = &record{obj: obj, bufAddr: bufAddr, size: size, sum: adler32.Checksum(src)}
+	c.recs[p] = &record{obj: obj, bufAddr: bufAddr, size: size, sum: sum}
 	c.mu.Unlock()
 
 	c.copies.Add(1)
@@ -179,21 +193,30 @@ func (c *Checker) Release(t *vm.Thread, obj *vm.Object, p mte.Ptr, begin, end mt
 		return fmt.Errorf("guardedcopy: release of unknown pointer %v", p)
 	}
 
-	buf, err := c.vm.NativeHeap.Mapping().Bytes(rec.bufAddr, 2*RedZoneSize+rec.size)
-	if err != nil {
+	native := c.vm.NativeHeap.Mapping()
+	payload := rec.bufAddr + RedZoneSize
+	var front, back [RedZoneSize]byte
+	if err := native.ReadRaw(rec.bufAddr, front[:]); err != nil {
+		return err
+	}
+	if err := native.ReadRaw(payload+mte.Addr(rec.size), back[:]); err != nil {
 		return err
 	}
 
 	var violation *Violation
-	if off, want, got, ok := verifyRedZone(buf[:RedZoneSize], -RedZoneSize); !ok {
+	if off, want, got, ok := verifyRedZone(front[:], -RedZoneSize); !ok {
 		violation = c.newViolation(t, obj, off, want, got)
-	} else if off, want, got, ok := verifyRedZone(buf[RedZoneSize+rec.size:], rec.size); !ok {
+	} else if off, want, got, ok := verifyRedZone(back[:], rec.size); !ok {
 		violation = c.newViolation(t, obj, off, want, got)
 	}
 
 	// Re-checksum the payload, as ART does, to learn whether native code
 	// modified the copy.
-	if adler32.Checksum(buf[RedZoneSize:RedZoneSize+rec.size]) != rec.sum {
+	sum, err := checksum(native, payload, rec.size)
+	if err != nil {
+		return err
+	}
+	if sum != rec.sum {
 		c.modifiedReleases.Add(1)
 	}
 
@@ -201,11 +224,9 @@ func (c *Checker) Release(t *vm.Thread, obj *vm.Object, p mte.Ptr, begin, end mt
 	// real mechanism does when the canaries check out; on JNI_ABORT changes
 	// are discarded.
 	if violation == nil && mode != jni.JNIAbort {
-		dst, err := c.vm.JavaHeap.Mapping().Bytes(begin, rec.size)
-		if err != nil {
+		if err := c.vm.JavaHeap.Mapping().CopyRaw(begin, native, payload, rec.size); err != nil {
 			return err
 		}
-		copy(dst, buf[RedZoneSize:RedZoneSize+rec.size])
 		c.bytesCopied.Add(int64(rec.size))
 	}
 

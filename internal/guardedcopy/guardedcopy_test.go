@@ -6,8 +6,18 @@ import (
 	"testing"
 
 	"mte4jni/internal/jni"
+	"mte4jni/internal/mte"
 	"mte4jni/internal/vm"
 )
+
+// poke writes one byte of the native heap in place, as stray native code
+// would.
+func poke(t *testing.T, v *vm.VM, a mte.Addr, b byte) {
+	t.Helper()
+	if err := v.NativeHeap.Mapping().WriteRaw(a, []byte{b}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func setup(t *testing.T) (*Checker, *vm.Thread, *vm.VM) {
 	t.Helper()
@@ -38,14 +48,14 @@ func TestAcquireCopiesAndReleaseWritesBack(t *testing.T) {
 		t.Fatalf("outstanding = %d", c.Outstanding())
 	}
 
-	buf, err := v.NativeHeap.Mapping().Bytes(p.Addr(), 64)
-	if err != nil {
+	buf := make([]byte, 64)
+	if err := v.NativeHeap.Mapping().ReadRaw(p.Addr(), buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf[28] != 0xD2 { // 1234 = 0x4D2 little-endian at element 7
 		t.Fatalf("copy content wrong: %x", buf[28])
 	}
-	buf[0] = 9 // modify through the copy
+	poke(t, v, p.Addr(), 9) // modify through the copy
 	if err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +77,7 @@ func TestOverflowDetectedWithOffset(t *testing.T) {
 	p, _ := c.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
 
 	// Corrupt 4 bytes just past the payload (index 18 and 21).
-	zone, _ := v.NativeHeap.Mapping().Bytes(p.Addr()+72, RedZoneSize)
-	zone[12] ^= 0xFF // byte offset 84 relative to payload start
+	poke(t, v, p.Addr()+84, CanaryAt(12)^0xFF) // byte offset 84 relative to payload start
 
 	err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault)
 	var viol *Violation
@@ -97,8 +106,7 @@ func TestUnderflowDetected(t *testing.T) {
 	c, th, v := setup(t)
 	arr, _ := v.NewIntArray(4)
 	p, _ := c.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
-	zone, _ := v.NativeHeap.Mapping().Bytes(p.Addr()-RedZoneSize, RedZoneSize)
-	zone[RedZoneSize-1] = 0
+	poke(t, v, p.Addr()-1, 0)
 	err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault)
 	var viol *Violation
 	if !errors.As(err, &viol) {
@@ -115,10 +123,7 @@ func TestFarOverflowMissed(t *testing.T) {
 	arr, _ := v.NewIntArray(4)
 	p, _ := c.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
 	// Write 100 bytes past the payload: beyond the 32-byte red zone.
-	far, err := v.NativeHeap.Mapping().Bytes(p.Addr()+16+100, 4)
-	if err == nil {
-		far[0] = 0xFF
-	}
+	_ = v.NativeHeap.Mapping().WriteRaw(p.Addr()+16+100, []byte{0xFF})
 	if err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault); err != nil {
 		t.Fatalf("far overflow was detected, but guarded copy cannot do that: %v", err)
 	}
@@ -128,8 +133,7 @@ func TestJNICommitKeepsBuffer(t *testing.T) {
 	c, th, v := setup(t)
 	arr, _ := v.NewIntArray(4)
 	p, _ := c.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
-	buf, _ := v.NativeHeap.Mapping().Bytes(p.Addr(), 4)
-	buf[0] = 42
+	poke(t, v, p.Addr(), 42)
 	if err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.JNICommit); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +143,7 @@ func TestJNICommitKeepsBuffer(t *testing.T) {
 	if c.Outstanding() != 1 {
 		t.Fatal("JNI_COMMIT must keep the buffer")
 	}
-	buf[0] = 43
+	poke(t, v, p.Addr(), 43)
 	if err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"mte4jni/internal/jni"
+	"mte4jni/internal/mte"
 	"mte4jni/internal/vm"
 )
 
@@ -28,23 +29,25 @@ func TestPropertyRoundTripPreservesPayload(t *testing.T) {
 		if err != nil {
 			return true // heap pressure, not a property failure
 		}
-		raw, _ := arr.Bytes()
-		copy(raw, payload)
+		if err := v.JavaHeap.Mapping().WriteRaw(arr.DataBegin(), payload); err != nil {
+			return false
+		}
 
 		p, err := c.Acquire(th, arr, arr.DataBegin(), arr.DataEnd())
 		if err != nil {
 			return false
 		}
-		buf, err := v.NativeHeap.Mapping().Bytes(p.Addr(), len(payload))
-		if err != nil {
+		idx := int(mutIdx) % len(payload)
+		if err := v.NativeHeap.Mapping().WriteRaw(p.Addr()+mte.Addr(idx), []byte{mutVal}); err != nil {
 			return false
 		}
-		idx := int(mutIdx) % len(payload)
-		buf[idx] = mutVal
 		if err := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.ReleaseDefault); err != nil {
 			return false
 		}
-		after, _ := arr.Bytes()
+		after := make([]byte, len(payload))
+		if err := v.JavaHeap.Mapping().ReadRaw(arr.DataBegin(), after); err != nil {
+			return false
+		}
 		for i := range payload {
 			want := payload[i]
 			if i == idx {
@@ -87,12 +90,10 @@ func TestPropertyAnyNonCanaryRedZoneWriteDetected(t *testing.T) {
 		} else {
 			at = 40 + idx
 		}
-		buf, err := v.NativeHeap.Mapping().Bytes(zoneBase, RedZoneSize)
-		if err != nil {
+		canary := CanaryAt(idx)
+		if err := v.NativeHeap.Mapping().WriteRaw(zoneBase+mte.Addr(idx), []byte{val}); err != nil {
 			return false
 		}
-		canary := CanaryAt(idx)
-		buf[idx] = val
 		relErr := c.Release(th, arr, p, arr.DataBegin(), arr.DataEnd(), jni.JNIAbort)
 		if val == canary {
 			return relErr == nil

@@ -251,13 +251,10 @@ func (h *Heap) Alloc(size uint64) (mte.Addr, error) {
 	}
 
 	// Zero the block outside all locks; it is owned exclusively by the
-	// caller from here on.
-	zero, err := h.mapping.Bytes(addr, int(rounded))
-	if err != nil {
+	// caller from here on. Data pages no store has touched are already zero
+	// and stay unmaterialized.
+	if err := h.mapping.ZeroRaw(addr, int(rounded)); err != nil {
 		return 0, err
-	}
-	for i := range zero {
-		zero[i] = 0
 	}
 	return addr, nil
 }

@@ -28,8 +28,8 @@ func TestAllocAlignmentAndZeroing(t *testing.T) {
 		if uint64(a)%align != 0 {
 			t.Fatalf("align %d: address %v misaligned", align, a)
 		}
-		buf, err := h.Mapping().Bytes(a, 100)
-		if err != nil {
+		buf := make([]byte, 100)
+		if err := h.Mapping().ReadRaw(a, buf); err != nil {
 			t.Fatal(err)
 		}
 		for i, b := range buf {
@@ -71,9 +71,12 @@ func TestFreeAndReuse(t *testing.T) {
 	h := newHeap(t, Config{Size: 1 << 20, Alignment: 16})
 	a, _ := h.Alloc(64)
 	// Dirty it, free it, reallocate: must come back zeroed.
-	buf, _ := h.Mapping().Bytes(a, 64)
+	buf := make([]byte, 64)
 	for i := range buf {
 		buf[i] = 0xFF
+	}
+	if err := h.Mapping().WriteRaw(a, buf); err != nil {
+		t.Fatal(err)
 	}
 	if err := h.Free(a); err != nil {
 		t.Fatal(err)
@@ -82,7 +85,10 @@ func TestFreeAndReuse(t *testing.T) {
 	if b != a {
 		t.Fatalf("free block not reused: %v vs %v", a, b)
 	}
-	buf2, _ := h.Mapping().Bytes(b, 64)
+	buf2 := make([]byte, 64)
+	if err := h.Mapping().ReadRaw(b, buf2); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range buf2 {
 		if v != 0 {
 			t.Fatalf("reused block byte %d not zeroed", i)

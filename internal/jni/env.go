@@ -13,6 +13,7 @@ package jni
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,9 +38,15 @@ type Env struct {
 	// both for non-MTE schemes and for the naive process-level design.
 	mteThreadControl bool
 
-	// mu guards the acquisition ledger.
+	// mu guards the acquisition ledger. Entries are values, so a handout
+	// adds no allocation once the ledger has grown to the thread's peak.
 	mu       sync.Mutex
-	acquired []*acquisition
+	acquired []acquisition
+
+	// frameLabels caches the simulated native frame label per method name
+	// (see CallNative). Like the thread's TLB it is used only by the
+	// goroutine driving the env.
+	frameLabels map[string]string
 
 	// tracer, when set, receives TraceEvents (see trace.go).
 	tracer atomic.Pointer[Tracer]
@@ -118,7 +125,7 @@ func (e *Env) OutstandingAcquisitions() int {
 }
 
 // recordAcquisition pins the payload object and logs the handout.
-func (e *Env) recordAcquisition(a *acquisition) {
+func (e *Env) recordAcquisition(a acquisition) {
 	a.obj.Pin()
 	if a.match == nil {
 		a.match = a.obj
@@ -131,27 +138,27 @@ func (e *Env) recordAcquisition(a *acquisition) {
 // takeAcquisition validates and removes the ledger entry matching a
 // Release call. With CheckJNI off it still consumes an entry (so pins stay
 // balanced) but skips the strict match error.
-func (e *Env) takeAcquisition(match *vm.Object, iface string, p mte.Ptr) (*acquisition, error) {
+func (e *Env) takeAcquisition(match *vm.Object, iface string, p mte.Ptr) (acquisition, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i, a := range e.acquired {
 		if a.match == match && a.ptr == p {
-			e.acquired = append(e.acquired[:i], e.acquired[i+1:]...)
+			e.acquired = slices.Delete(e.acquired, i, i+1)
 			return a, nil
 		}
 	}
 	if e.checkJNI {
-		return nil, fmt.Errorf("jni: CheckJNI: %s called with pointer %v that was not returned for %s (double release or wrong pointer?)",
+		return acquisition{}, fmt.Errorf("jni: CheckJNI: %s called with pointer %v that was not returned for %s (double release or wrong pointer?)",
 			iface, p, match)
 	}
 	// Without CheckJNI, mimic ART's lenient fallback: match on object only.
 	for i, a := range e.acquired {
 		if a.match == match {
-			e.acquired = append(e.acquired[:i], e.acquired[i+1:]...)
+			e.acquired = slices.Delete(e.acquired, i, i+1)
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("jni: release of %s with no outstanding acquisition", match)
+	return acquisition{}, fmt.Errorf("jni: release of %s with no outstanding acquisition", match)
 }
 
 // --- Native memory access helpers -----------------------------------------

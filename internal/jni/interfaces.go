@@ -19,7 +19,7 @@ func (e *Env) acquire(obj *vm.Object, iface string, freeObj bool, match *vm.Obje
 	if err != nil {
 		return 0, fmt.Errorf("jni: %s: %w", iface, err)
 	}
-	e.recordAcquisition(&acquisition{
+	e.recordAcquisition(acquisition{
 		obj: obj, iface: iface, ptr: p, begin: begin, end: end,
 		match: match, freeObj: freeObj,
 	})
@@ -165,11 +165,10 @@ func (e *Env) GetStringUTFChars(str *vm.Object) (mte.Ptr, int, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("jni: GetStringUTFChars: %w", err)
 	}
-	payload, err := buf.Bytes()
-	if err != nil {
+	// The trailing byte is already zero.
+	if err := e.vm.JavaHeap.Mapping().WriteRaw(buf.DataBegin(), utf); err != nil {
 		return 0, 0, err
 	}
-	copy(payload, utf) // trailing byte already zero
 	p, err := e.acquire(buf, "GetStringUTFChars", true, str)
 	if err != nil {
 		return 0, 0, err
@@ -189,7 +188,7 @@ func (e *Env) ReleaseStringUTFChars(str *vm.Object, p mte.Ptr) error {
 // validating the element kind (Table 1 row 5 — the Get*ArrayElements
 // family).
 func (e *Env) GetArrayElements(kind vm.Kind, arr *vm.Object) (mte.Ptr, error) {
-	iface := "Get" + kind.JNIName() + "ArrayElements"
+	iface := elementsIface(kind, false)
 	if err := e.requireArray(arr, iface, &kind); err != nil {
 		return 0, err
 	}
@@ -198,7 +197,35 @@ func (e *Env) GetArrayElements(kind vm.Kind, arr *vm.Object) (mte.Ptr, error) {
 
 // ReleaseArrayElements releases a pointer obtained from GetArrayElements.
 func (e *Env) ReleaseArrayElements(kind vm.Kind, arr *vm.Object, p mte.Ptr, mode ReleaseMode) error {
-	return e.release(arr, "Release"+kind.JNIName()+"ArrayElements", p, mode)
+	return e.release(arr, elementsIface(kind, true), p, mode)
+}
+
+// elementsNames renders kind's Get and Release<Type>ArrayElements names.
+func elementsNames(kind vm.Kind) [2]string {
+	return [2]string{"Get" + kind.JNIName() + "ArrayElements", "Release" + kind.JNIName() + "ArrayElements"}
+}
+
+// elementsIfaces holds every primitive kind's names, rendered once: handing
+// out an array is the per-call hot path of Figure 5.
+var elementsIfaces = func() map[vm.Kind][2]string {
+	m := make(map[vm.Kind][2]string, len(vm.Kinds))
+	for _, k := range vm.Kinds {
+		m[k] = elementsNames(k)
+	}
+	return m
+}()
+
+// elementsIface names the Get (release false) or Release<Type>ArrayElements
+// interface for kind.
+func elementsIface(kind vm.Kind, release bool) string {
+	names, ok := elementsIfaces[kind]
+	if !ok {
+		names = elementsNames(kind)
+	}
+	if release {
+		return names[1]
+	}
+	return names[0]
 }
 
 // GetIntArrayElements is the int instantiation of Get*ArrayElements.

@@ -91,7 +91,7 @@ func (e *Env) CallNative(name string, kind NativeKind, fn NativeFunc) (fault *mt
 		popOuter = t.Ctx().Enter("art_jni_trampoline (@CriticalNative)")
 		// Never touches the heap: checking stays off.
 	}
-	popFrame := t.Ctx().Enter("Java_com_example_app_MainActivity_" + name + "+0")
+	popFrame := t.Ctx().Enter(e.frameLabel(name))
 	if e.tracing() {
 		e.trace(TraceEvent{Kind: TraceNativeEnter, Iface: name})
 	}
@@ -137,4 +137,18 @@ func (e *Env) CallNative(name string, kind NativeKind, fn NativeFunc) (fault *mt
 
 	err = fn(e)
 	return fault, err
+}
+
+// frameLabel returns the simulated native frame label of method name,
+// built once per name and env.
+func (e *Env) frameLabel(name string) string {
+	if l, ok := e.frameLabels[name]; ok {
+		return l
+	}
+	if e.frameLabels == nil {
+		e.frameLabels = make(map[string]string)
+	}
+	l := "Java_com_example_app_MainActivity_" + name + "+0"
+	e.frameLabels[name] = l
+	return l
 }

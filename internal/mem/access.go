@@ -248,7 +248,8 @@ func (s *Space) Load8(ctx *cpu.Context, p mte.Ptr) (uint8, *mte.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	return m.data[p.Addr()-m.base], nil
+	off := uint64(p.Addr() - m.base)
+	return m.rpage(off >> dataPageShift)[off&dataPageMask], nil
 }
 
 // Store8 writes one byte through a checked access.
@@ -259,8 +260,13 @@ func (s *Space) Store8(ctx *cpu.Context, p mte.Ptr, v uint8) *mte.Fault {
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	m.data[p.Addr()-m.base] = v
+	if pg, in, ok := m.wwindow(off, 1); ok {
+		pg[in] = v
+	} else {
+		m.storeSlow(off, 1, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -273,8 +279,11 @@ func (s *Space) Load16(ctx *cpu.Context, p mte.Ptr) (uint16, *mte.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint16(m.data[off:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 2); ok {
+		return binary.LittleEndian.Uint16(pg[in:]), nil
+	}
+	return uint16(m.loadSlow(off, 2)), nil
 }
 
 // Store16 writes a little-endian 16-bit value.
@@ -285,8 +294,13 @@ func (s *Space) Store16(ctx *cpu.Context, p mte.Ptr, v uint16) *mte.Fault {
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint16(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 2); ok {
+		binary.LittleEndian.PutUint16(pg[in:], v)
+	} else {
+		m.storeSlow(off, 2, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -299,8 +313,11 @@ func (s *Space) Load32(ctx *cpu.Context, p mte.Ptr) (uint32, *mte.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint32(m.data[off:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 4); ok {
+		return binary.LittleEndian.Uint32(pg[in:]), nil
+	}
+	return uint32(m.loadSlow(off, 4)), nil
 }
 
 // Store32 writes a little-endian 32-bit value.
@@ -311,8 +328,13 @@ func (s *Space) Store32(ctx *cpu.Context, p mte.Ptr, v uint32) *mte.Fault {
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint32(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 4); ok {
+		binary.LittleEndian.PutUint32(pg[in:], v)
+	} else {
+		m.storeSlow(off, 4, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -325,8 +347,11 @@ func (s *Space) Load64(ctx *cpu.Context, p mte.Ptr) (uint64, *mte.Fault) {
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint64(m.data[off:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 8); ok {
+		return binary.LittleEndian.Uint64(pg[in:]), nil
+	}
+	return m.loadSlow(off, 8), nil
 }
 
 // Store64 writes a little-endian 64-bit value.
@@ -337,8 +362,13 @@ func (s *Space) Store64(ctx *cpu.Context, p mte.Ptr, v uint64) *mte.Fault {
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint64(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 8); ok {
+		binary.LittleEndian.PutUint64(pg[in:], v)
+	} else {
+		m.storeSlow(off, 8, v)
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -357,7 +387,7 @@ func (s *Space) CopyOut(ctx *cpu.Context, p mte.Ptr, dst []byte) *mte.Fault {
 	if len(dst) == 0 {
 		return nil
 	}
-	copy(dst, m.data[p.Addr()-m.base:])
+	m.readAt(uint64(p.Addr()-m.base), dst)
 	return nil
 }
 
@@ -373,7 +403,7 @@ func (s *Space) CopyIn(ctx *cpu.Context, p mte.Ptr, src []byte) *mte.Fault {
 		return nil
 	}
 	locked := m.storeLock()
-	copy(m.data[p.Addr()-m.base:], src)
+	m.writeAt(uint64(p.Addr()-m.base), src)
 	m.storeUnlock(locked)
 	return nil
 }
@@ -385,9 +415,10 @@ func (s *Space) CopyIn(ctx *cpu.Context, p mte.Ptr, src []byte) *mte.Fault {
 // Two semantic guarantees are part of the engine contract (and locked by
 // TestMoveSemantics):
 //
-//   - Overlapping src/dst ranges behave like memmove, because Go's copy
-//     does: the destination receives the original source bytes even when
-//     the ranges alias.
+//   - Overlapping src/dst ranges behave like memmove: the destination
+//     receives the original source bytes even when the ranges alias (the
+//     page walk runs backwards when the destination sits above the source,
+//     and Go's copy is a memmove within each page-bounded run).
 //   - The source is checked before the destination. When both sides would
 //     fault in sync mode, the load fault is the one reported; in async mode
 //     both mismatches are latched (first fault kept, second coalesced)
@@ -407,7 +438,7 @@ func (s *Space) Move(ctx *cpu.Context, dst, src mte.Ptr, n int) *mte.Fault {
 		return nil
 	}
 	locked := dm.storeLock()
-	copy(dm.data[dst.Addr()-dm.base:dst.Addr()-dm.base+mte.Addr(n)], sm.data[src.Addr()-sm.base:])
+	moveAt(dm, uint64(dst.Addr()-dm.base), sm, uint64(src.Addr()-sm.base), uint64(n))
 	dm.storeUnlock(locked)
 	return nil
 }

@@ -87,17 +87,6 @@ func TestAccessStraddlingGranulesChecksBoth(t *testing.T) {
 	}
 }
 
-func TestBytesCapIsTight(t *testing.T) {
-	_, m := newTestSpace(t)
-	buf, err := m.Bytes(m.Base(), 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(buf) != 16 {
-		t.Fatalf("Bytes cap = %d, want tight 16 (no aliasing past the range)", cap(buf))
-	}
-}
-
 func TestMappingAccessors(t *testing.T) {
 	s := NewSpace()
 	m, _ := s.Map("labelled", 4096, ProtRead|ProtWrite|ProtMTE)

@@ -52,7 +52,8 @@ func (s *Space) Load8Unguarded(ctx *cpu.Context, p mte.Ptr) (uint8, *mte.Fault) 
 	if f != nil {
 		return 0, f
 	}
-	return m.data[p.Addr()-m.base], nil
+	off := uint64(p.Addr() - m.base)
+	return m.rpage(off >> dataPageShift)[off&dataPageMask], nil
 }
 
 // Store8Unguarded writes one byte with the tag compare elided.
@@ -63,8 +64,13 @@ func (s *Space) Store8Unguarded(ctx *cpu.Context, p mte.Ptr, v uint8) *mte.Fault
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	m.data[p.Addr()-m.base] = v
+	if pg, in, ok := m.wwindow(off, 1); ok {
+		pg[in] = v
+	} else {
+		m.storeSlow(off, 1, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -77,7 +83,11 @@ func (s *Space) Load16Unguarded(ctx *cpu.Context, p mte.Ptr) (uint16, *mte.Fault
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint16(m.data[p.Addr()-m.base:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 2); ok {
+		return binary.LittleEndian.Uint16(pg[in:]), nil
+	}
+	return uint16(m.loadSlow(off, 2)), nil
 }
 
 // Store16Unguarded writes a little-endian 16-bit value, tag compare elided.
@@ -88,8 +98,13 @@ func (s *Space) Store16Unguarded(ctx *cpu.Context, p mte.Ptr, v uint16) *mte.Fau
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint16(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 2); ok {
+		binary.LittleEndian.PutUint16(pg[in:], v)
+	} else {
+		m.storeSlow(off, 2, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -102,7 +117,11 @@ func (s *Space) Load32Unguarded(ctx *cpu.Context, p mte.Ptr) (uint32, *mte.Fault
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint32(m.data[p.Addr()-m.base:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 4); ok {
+		return binary.LittleEndian.Uint32(pg[in:]), nil
+	}
+	return uint32(m.loadSlow(off, 4)), nil
 }
 
 // Store32Unguarded writes a little-endian 32-bit value, tag compare elided.
@@ -113,8 +132,13 @@ func (s *Space) Store32Unguarded(ctx *cpu.Context, p mte.Ptr, v uint32) *mte.Fau
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint32(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 4); ok {
+		binary.LittleEndian.PutUint32(pg[in:], v)
+	} else {
+		m.storeSlow(off, 4, uint64(v))
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -127,7 +151,11 @@ func (s *Space) Load64Unguarded(ctx *cpu.Context, p mte.Ptr) (uint64, *mte.Fault
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint64(m.data[p.Addr()-m.base:]), nil
+	off := uint64(p.Addr() - m.base)
+	if pg, in, ok := m.rwindow(off, 8); ok {
+		return binary.LittleEndian.Uint64(pg[in:]), nil
+	}
+	return m.loadSlow(off, 8), nil
 }
 
 // Store64Unguarded writes a little-endian 64-bit value, tag compare elided.
@@ -138,8 +166,13 @@ func (s *Space) Store64Unguarded(ctx *cpu.Context, p mte.Ptr, v uint64) *mte.Fau
 	if f != nil {
 		return f
 	}
+	off := uint64(p.Addr() - m.base)
 	locked := m.storeLock()
-	binary.LittleEndian.PutUint64(m.data[p.Addr()-m.base:], v)
+	if pg, in, ok := m.wwindow(off, 8); ok {
+		binary.LittleEndian.PutUint64(pg[in:], v)
+	} else {
+		m.storeSlow(off, 8, v)
+	}
 	m.storeUnlock(locked)
 	return nil
 }
@@ -157,7 +190,7 @@ func (s *Space) CopyOutUnguarded(ctx *cpu.Context, p mte.Ptr, dst []byte) *mte.F
 	if len(dst) == 0 {
 		return nil
 	}
-	copy(dst, m.data[p.Addr()-m.base:])
+	m.readAt(uint64(p.Addr()-m.base), dst)
 	return nil
 }
 
@@ -173,7 +206,7 @@ func (s *Space) CopyInUnguarded(ctx *cpu.Context, p mte.Ptr, src []byte) *mte.Fa
 		return nil
 	}
 	locked := m.storeLock()
-	copy(m.data[p.Addr()-m.base:], src)
+	m.writeAt(uint64(p.Addr()-m.base), src)
 	m.storeUnlock(locked)
 	return nil
 }
@@ -196,7 +229,7 @@ func (s *Space) MoveUnguarded(ctx *cpu.Context, dst, src mte.Ptr, n int) *mte.Fa
 		return nil
 	}
 	locked := dm.storeLock()
-	copy(dm.data[dst.Addr()-dm.base:dst.Addr()-dm.base+mte.Addr(n)], sm.data[src.Addr()-sm.base:])
+	moveAt(dm, uint64(dst.Addr()-dm.base), sm, uint64(src.Addr()-sm.base), uint64(n))
 	dm.storeUnlock(locked)
 	return nil
 }

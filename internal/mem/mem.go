@@ -70,10 +70,17 @@ const spaceBase = mte.Addr(0x7000_0000_0000)
 
 // Mapping is one contiguous region of simulated memory.
 type Mapping struct {
-	base mte.Addr
-	prot Prot
-	name string
-	data []byte
+	base  mte.Addr
+	size  uint64
+	prot  Prot
+	name  string
+	space *Space
+	// pages is the mapping's paged data plane: one atomic page pointer per
+	// 16 KiB, each on the shared zero page until the first store to it
+	// materializes a private page (datapages.go). resident counts the
+	// materialized pages, so Unmap unwinds the space's gauge in O(1).
+	pages    []atomic.Pointer[dataPage]
+	resident atomic.Int64
 	// tags is the mapping's hierarchical tag table when the mapping is
 	// ProtMTE; nil otherwise. See tagtable.go for the two-level layout
 	// (directory of canonical uniform pages and materialized private
@@ -93,7 +100,7 @@ type Mapping struct {
 
 	// Concurrent-scan synchronization. On hardware a GC thread reading a
 	// word another thread is storing to is an ordinary (if unordered) pair
-	// of accesses; in the simulator both touch the same Go byte slice and
+	// of accesses; in the simulator both touch the same Go data page and
 	// would be a real data race. A VM that runs a concurrent collector
 	// therefore flips scanSync (sticky, via EnableScanSync) and from then on
 	// every checked store takes scanMu shared while the scanner brackets its
@@ -141,10 +148,10 @@ func (m *Mapping) storeUnlock(locked bool) {
 func (m *Mapping) Base() mte.Addr { return m.base }
 
 // Size returns the mapping length in bytes.
-func (m *Mapping) Size() uint64 { return uint64(len(m.data)) }
+func (m *Mapping) Size() uint64 { return m.size }
 
 // End returns one past the last address of the mapping.
-func (m *Mapping) End() mte.Addr { return m.base + mte.Addr(len(m.data)) }
+func (m *Mapping) End() mte.Addr { return m.base + mte.Addr(m.size) }
 
 // Prot returns the mapping's protection mask.
 func (m *Mapping) Prot() Prot { return m.prot }
@@ -161,7 +168,7 @@ func (m *Mapping) contains(addr mte.Addr, size int) bool {
 		return false
 	}
 	off := uint64(addr - m.base)
-	return off+uint64(size) <= uint64(len(m.data))
+	return off+uint64(size) <= m.size
 }
 
 // granuleIndex converts an in-mapping address to a tag-array index.
@@ -218,12 +225,15 @@ func (m *Mapping) ZeroTagRange(begin, end mte.Addr) (int, error) {
 // ReadRaw copies mapping bytes starting at addr into dst without any tag or
 // protection checking. It is the runtime-internal view of memory (the
 // allocator, the GC and the guarded-copy machinery use it) — the moral
-// equivalent of ART touching its own heap from managed code paths.
+// equivalent of ART touching its own heap from managed code paths. The raw
+// helpers (ReadRaw, WriteRaw, ZeroRaw, CopyRaw, VisitRaw) are the only way
+// around the checked accessors; none of them hands out a view of the
+// backing pages that outlives the call.
 func (m *Mapping) ReadRaw(addr mte.Addr, dst []byte) error {
 	if !m.contains(addr, len(dst)) {
 		return fmt.Errorf("mem: ReadRaw [%v,+%d) outside mapping %q", addr, len(dst), m.name)
 	}
-	copy(dst, m.data[addr-m.base:])
+	m.readAt(uint64(addr-m.base), dst)
 	return nil
 }
 
@@ -233,19 +243,47 @@ func (m *Mapping) WriteRaw(addr mte.Addr, src []byte) error {
 		return fmt.Errorf("mem: WriteRaw [%v,+%d) outside mapping %q", addr, len(src), m.name)
 	}
 	locked := m.storeLock()
-	copy(m.data[addr-m.base:], src)
+	m.writeAt(uint64(addr-m.base), src)
 	m.storeUnlock(locked)
 	return nil
 }
 
-// Bytes returns the raw backing slice for [addr, addr+size), bypassing all
-// checking. Intended for runtime internals and tests only.
-func (m *Mapping) Bytes(addr mte.Addr, size int) ([]byte, error) {
-	if !m.contains(addr, size) {
-		return nil, fmt.Errorf("mem: Bytes [%v,+%d) outside mapping %q", addr, size, m.name)
+// ZeroRaw clears [addr, addr+n) without checking — the allocator's block
+// zeroing. Pages no store has touched are already zero and are skipped, so
+// zeroing fresh memory materializes nothing.
+func (m *Mapping) ZeroRaw(addr mte.Addr, n int) error {
+	if !m.contains(addr, n) {
+		return fmt.Errorf("mem: ZeroRaw [%v,+%d) outside mapping %q", addr, n, m.name)
 	}
-	off := addr - m.base
-	return m.data[off : off+mte.Addr(size) : off+mte.Addr(size)], nil
+	locked := m.storeLock()
+	m.zeroAt(uint64(addr-m.base), uint64(n))
+	m.storeUnlock(locked)
+	return nil
+}
+
+// CopyRaw copies n bytes from src at srcAddr into m at addr without
+// checking, page by page on both sides. Within one mapping, overlapping
+// ranges behave like memmove.
+func (m *Mapping) CopyRaw(addr mte.Addr, src *Mapping, srcAddr mte.Addr, n int) error {
+	if !m.contains(addr, n) || !src.contains(srcAddr, n) {
+		return fmt.Errorf("mem: CopyRaw [%v,+%d) from %q to [%v,+%d) in %q out of range", srcAddr, n, src.name, addr, n, m.name)
+	}
+	locked := m.storeLock()
+	moveAt(m, uint64(addr-m.base), src, uint64(srcAddr-src.base), uint64(n))
+	m.storeUnlock(locked)
+	return nil
+}
+
+// VisitRaw calls fn on consecutive windows of the bytes at [addr, addr+n),
+// in address order, without checking — for scans such as checksums that
+// should not copy. Untouched pages are presented as the shared zero page,
+// so fn must only read a window and must not keep it after returning.
+func (m *Mapping) VisitRaw(addr mte.Addr, n int, fn func(window []byte)) error {
+	if !m.contains(addr, n) {
+		return fmt.Errorf("mem: VisitRaw [%v,+%d) outside mapping %q", addr, n, m.name)
+	}
+	m.visitAt(uint64(addr-m.base), uint64(n), fn)
+	return nil
 }
 
 // Space is a simulated process address space: an ordered set of mappings.
@@ -270,6 +308,13 @@ type Space struct {
 	snapshot atomic.Pointer[[]*Mapping]
 	// epoch counts Map calls; bumped after the snapshot is published.
 	epoch atomic.Uint64
+
+	// Paged data-plane accounting (datapages.go): pages materialized by a
+	// first store (monotonic), and the gauges over live mappings.
+	dataMaterialized  atomic.Uint64
+	dataResidentPages atomic.Int64
+	dataDirBytes      atomic.Int64
+	dataMappedBytes   atomic.Int64
 
 	// Hierarchical tag-storage accounting and page recycling (tagtable.go).
 	// tagFree is the freelist of displaced/released private tag pages;
@@ -309,11 +354,17 @@ func (s *Space) Map(name string, size uint64, prot Prot) (*Mapping, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := &Mapping{
-		base: s.nextBase,
-		prot: prot,
-		name: name,
-		data: make([]byte, rounded),
+		base:  s.nextBase,
+		size:  rounded,
+		prot:  prot,
+		name:  name,
+		space: s,
+		// Lazy paged data plane: the directory is the only allocation, and
+		// every entry starts on the shared zero page.
+		pages: newDataDir(rounded),
 	}
+	s.dataMappedBytes.Add(int64(rounded))
+	s.dataDirBytes.Add(int64(len(m.pages)) * dataDirEntryBytes)
 	if prot&ProtMTE != 0 {
 		// Lazy hierarchical tag storage: every page starts deduplicated
 		// against the shared zero page, and even the page-pointer directory
@@ -367,12 +418,13 @@ func (s *Space) Unmap(m *Mapping) error {
 	s.epoch.Add(1)
 	// Release the backing storage. contains() now fails for every access, so
 	// retained handles degrade to errors rather than touching freed state.
-	// Materialized tag pages go back to the space freelist instead of
-	// becoming garbage — pooled VMs unmap and remap heaps constantly.
+	// Data pages become garbage (no freelist, see datapages.go); materialized
+	// tag pages go back to the space freelist.
 	if m.tags != nil {
 		m.tags.release()
 	}
-	m.data = nil
+	m.releasePages()
+	m.size = 0
 	m.tags = nil
 	return nil
 }

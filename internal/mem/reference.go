@@ -80,13 +80,27 @@ func (r *ReferenceEngine) checkAccess(ctx *cpu.Context, p mte.Ptr, size int, kin
 	return m, nil
 }
 
+// read and write are the reference engine's only view of mapping bytes: a
+// whole-range copy through the page walker, blind to page boundaries the
+// way TagAt is blind to tag storage, so the fast engine's in-page fixed-width
+// paths and its descending Move walk have an independent oracle.
+func (r *ReferenceEngine) read(m *Mapping, addr mte.Addr, n int) []byte {
+	b := make([]byte, n)
+	m.readAt(uint64(addr-m.base), b)
+	return b
+}
+
+func (r *ReferenceEngine) write(m *Mapping, addr mte.Addr, b []byte) {
+	m.writeAt(uint64(addr-m.base), b)
+}
+
 // Load8 reads one byte through a reference-checked access.
 func (r *ReferenceEngine) Load8(ctx *cpu.Context, p mte.Ptr) (uint8, *mte.Fault) {
 	m, f := r.checkAccess(ctx, p, 1, mte.AccessLoad)
 	if f != nil {
 		return 0, f
 	}
-	return m.data[p.Addr()-m.base], nil
+	return r.read(m, p.Addr(), 1)[0], nil
 }
 
 // Store8 writes one byte through a reference-checked access.
@@ -95,7 +109,7 @@ func (r *ReferenceEngine) Store8(ctx *cpu.Context, p mte.Ptr, v uint8) *mte.Faul
 	if f != nil {
 		return f
 	}
-	m.data[p.Addr()-m.base] = v
+	r.write(m, p.Addr(), []byte{v})
 	return nil
 }
 
@@ -105,8 +119,7 @@ func (r *ReferenceEngine) Load16(ctx *cpu.Context, p mte.Ptr) (uint16, *mte.Faul
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint16(m.data[off:]), nil
+	return binary.LittleEndian.Uint16(r.read(m, p.Addr(), 2)), nil
 }
 
 // Store16 writes a little-endian 16-bit value.
@@ -115,7 +128,7 @@ func (r *ReferenceEngine) Store16(ctx *cpu.Context, p mte.Ptr, v uint16) *mte.Fa
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint16(m.data[p.Addr()-m.base:], v)
+	r.write(m, p.Addr(), binary.LittleEndian.AppendUint16(nil, v))
 	return nil
 }
 
@@ -125,8 +138,7 @@ func (r *ReferenceEngine) Load32(ctx *cpu.Context, p mte.Ptr) (uint32, *mte.Faul
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint32(m.data[off:]), nil
+	return binary.LittleEndian.Uint32(r.read(m, p.Addr(), 4)), nil
 }
 
 // Store32 writes a little-endian 32-bit value.
@@ -135,7 +147,7 @@ func (r *ReferenceEngine) Store32(ctx *cpu.Context, p mte.Ptr, v uint32) *mte.Fa
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint32(m.data[p.Addr()-m.base:], v)
+	r.write(m, p.Addr(), binary.LittleEndian.AppendUint32(nil, v))
 	return nil
 }
 
@@ -145,8 +157,7 @@ func (r *ReferenceEngine) Load64(ctx *cpu.Context, p mte.Ptr) (uint64, *mte.Faul
 	if f != nil {
 		return 0, f
 	}
-	off := p.Addr() - m.base
-	return binary.LittleEndian.Uint64(m.data[off:]), nil
+	return binary.LittleEndian.Uint64(r.read(m, p.Addr(), 8)), nil
 }
 
 // Store64 writes a little-endian 64-bit value.
@@ -155,7 +166,7 @@ func (r *ReferenceEngine) Store64(ctx *cpu.Context, p mte.Ptr, v uint64) *mte.Fa
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint64(m.data[p.Addr()-m.base:], v)
+	r.write(m, p.Addr(), binary.LittleEndian.AppendUint64(nil, v))
 	return nil
 }
 
@@ -168,7 +179,7 @@ func (r *ReferenceEngine) CopyOut(ctx *cpu.Context, p mte.Ptr, dst []byte) *mte.
 	if len(dst) == 0 {
 		return nil
 	}
-	copy(dst, m.data[p.Addr()-m.base:])
+	copy(dst, r.read(m, p.Addr(), len(dst)))
 	return nil
 }
 
@@ -181,7 +192,7 @@ func (r *ReferenceEngine) CopyIn(ctx *cpu.Context, p mte.Ptr, src []byte) *mte.F
 	if len(src) == 0 {
 		return nil
 	}
-	copy(m.data[p.Addr()-m.base:], src)
+	r.write(m, p.Addr(), src)
 	return nil
 }
 
@@ -199,6 +210,8 @@ func (r *ReferenceEngine) Move(ctx *cpu.Context, dst, src mte.Ptr, n int) *mte.F
 	if n == 0 {
 		return nil
 	}
-	copy(dm.data[dst.Addr()-dm.base:dst.Addr()-dm.base+mte.Addr(n)], sm.data[src.Addr()-sm.base:])
+	// Read the whole source before writing anything: memmove by
+	// construction, whatever the overlap.
+	r.write(dm, dst.Addr(), r.read(sm, src.Addr(), n))
 	return nil
 }

@@ -469,8 +469,8 @@ func (s *Space) putTagPage(pg *tagPage) {
 	s.tagFreeMu.Unlock()
 }
 
-// TagStats is a point-in-time view of the space's hierarchical tag-storage
-// accounting.
+// TagStats is a point-in-time view of the space's storage accounting: the
+// hierarchical tag table and the paged data plane.
 type TagStats struct {
 	// PagesMaterialized counts copy-on-tag materializations (monotonic).
 	PagesMaterialized uint64
@@ -503,6 +503,16 @@ type TagStats struct {
 	// for the same mappings (one byte per granule of actual mapping size,
 	// allocated eagerly).
 	BytesFlatEquiv uint64
+
+	// The paged data plane (datapages.go) reports on the same path.
+	// DataPagesMaterialized counts data pages a first store filled in
+	// (monotonic). DataBytesResident is the data memory live mappings
+	// actually hold — materialized pages plus page directories — and
+	// DataBytesMapped is their mapped size, what a flat backing array
+	// would hold.
+	DataPagesMaterialized uint64
+	DataBytesResident     uint64
+	DataBytesMapped       uint64
 }
 
 // TagStats returns the space's tag-storage accounting.
@@ -522,6 +532,10 @@ func (s *Space) TagStats() TagStats {
 		DirBytes:          dir,
 		BytesResident:     resident*tagPageBytes + dir,
 		BytesFlatEquiv:    uint64(s.tagFlatBytes.Load()),
+
+		DataPagesMaterialized: s.dataMaterialized.Load(),
+		DataBytesResident:     uint64(s.dataResidentPages.Load())*dataPageSize + uint64(s.dataDirBytes.Load()),
+		DataBytesMapped:       uint64(s.dataMappedBytes.Load()),
 	}
 }
 

@@ -68,3 +68,23 @@ func BenchmarkThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSessionBuild measures building one pool-sized session — a
+// runtime with the default 32 MiB Java heap and 64 MiB native heap under
+// MTE+Sync — and attaching its JNI env: the cost a quarantined session's
+// replacement adds to the lease that builds it. Closing the session runs
+// outside the timer.
+func BenchmarkSessionBuild(b *testing.B) {
+	p := New(Config{})
+	defer p.Close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s, err := p.newSession(uint64(i), mte4jni.MTESync, int64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		s.close()
+		b.StartTimer()
+	}
+}

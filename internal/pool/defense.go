@@ -124,7 +124,7 @@ func (p *Pool) ObserveFault(tenant string) bool {
 		ts = &tenantState{}
 		p.tenants[tenant] = ts
 	}
-	p.decayTenant(ts, time.Now())
+	p.decayTenant(ts, p.now())
 	ts.faults++
 	tier := ts.tier
 	if t := p.cfg.Defense.QuarantineThreshold; t > 0 && ts.faults >= t {
@@ -136,7 +136,7 @@ func (p *Pool) ObserveFault(tenant string) bool {
 		return false
 	}
 	ts.tier = tier
-	ts.tierSince = time.Now()
+	ts.tierSince = p.now()
 	// Suspicion invalidates learned tags: the next lease of every warm
 	// session — on every shard, tenant standing being pool-global — re-seeds
 	// its tag RNG and resets its heap tags.
@@ -169,7 +169,7 @@ func (p *Pool) admitTenant(ctx context.Context, tenant string) error {
 	p.mu.Lock()
 	tier := tierAdmit
 	if ts := p.tenants[tenant]; ts != nil {
-		p.decayTenant(ts, time.Now())
+		p.decayTenant(ts, p.now())
 		tier = ts.tier
 	}
 	if tier == tierQuarantine {

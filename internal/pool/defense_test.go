@@ -257,7 +257,8 @@ func TestDefenseDelayRespectsContext(t *testing.T) {
 // Time-based tier decay: a quarantined tenant steps back down the ladder
 // after each DecayInterval — quarantine to delay to admit — with the banked
 // fault count dropped to the new tier's floor so re-escalation needs fresh
-// faults.
+// faults. The policy clock is stepped by hand, so a stalled host cannot
+// turn one elapsed interval into two.
 func TestDefenseTierDecay(t *testing.T) {
 	const interval = 20 * time.Millisecond
 	p := New(Config{
@@ -272,6 +273,8 @@ func TestDefenseTierDecay(t *testing.T) {
 	})
 	defer p.Close()
 	ctx := context.Background()
+	clock := time.Unix(1_000_000, 0)
+	p.now = func() time.Time { return clock }
 
 	// Walk the tenant into quarantine.
 	for i := 0; i < 4; i++ {
@@ -286,7 +289,7 @@ func TestDefenseTierDecay(t *testing.T) {
 
 	// One interval later the tenant is back in the delay tier: admitted, but
 	// paying the penalty, with faults reset to the delay floor.
-	time.Sleep(interval + interval/2)
+	clock = clock.Add(interval + interval/2)
 	throttledBefore := p.Stats().ThrottledTotal
 	s, err := p.AcquireFor(ctx, mte4jni.MTESync, "evil")
 	if err != nil {
@@ -306,7 +309,7 @@ func TestDefenseTierDecay(t *testing.T) {
 
 	// Another interval: fully reformed — admitted without throttling, fault
 	// count zero.
-	time.Sleep(interval)
+	clock = clock.Add(interval)
 	s, err = p.AcquireFor(ctx, mte4jni.MTESync, "evil")
 	if err != nil {
 		t.Fatalf("reformed tenant admission: %v", err)

@@ -164,13 +164,17 @@ type Pool struct {
 	mu     sync.Mutex
 	stats  Stats              // only the pool-global counters
 	recent []QuarantineRecord // bounded at quarantineLog entries
-	// retiredTags carries forward the monotonic tag-storage counters of
-	// sessions that have left the pool, so the pool-wide totals in
+	// retiredTags carries forward the monotonic tag- and data-page counters
+	// of sessions that have left the pool, so the pool-wide totals in
 	// TagStats never go backwards when a session is retired. Gauge fields
-	// (resident/dir/freelist bytes) die with the session's space and are
-	// not accumulated.
+	// (resident/dir/freelist/mapped bytes) die with the session's space and
+	// are not accumulated.
 	retiredTags mem.TagStats
 	tenants     map[string]*tenantState
+
+	// now is the defense policy's clock: time.Now, which tests replace to
+	// step through decay intervals without sleeping.
+	now func() time.Time
 }
 
 // quarantineLog bounds the retained quarantine history.
@@ -183,6 +187,7 @@ func New(cfg Config) *Pool {
 	p := &Pool{
 		cfg:     cfg,
 		tenants: make(map[string]*tenantState),
+		now:     time.Now,
 	}
 	p.perShardWaiters = cfg.MaxWaiters / cfg.Shards
 	if p.perShardWaiters < 1 {
@@ -345,6 +350,13 @@ func (p *Pool) Release(s *Session) {
 	p.returnToken(sh)
 }
 
+// Retire takes a leased session out of service instead of releasing it:
+// the session is closed, its capacity token goes back to its shard, and the
+// reason lands in the retirement log (counted under Retired). The serving
+// layer retires a session whose run ended in a Go panic — nothing about its
+// state can be trusted, and a rebuild is cheap.
+func (p *Pool) Retire(s *Session, reason string) { p.retire(s, false, reason) }
+
 // retire closes a session and records why.
 func (p *Pool) retire(s *Session, quarantine bool, reason string) {
 	s.close()
@@ -370,7 +382,7 @@ func (p *Pool) retire(s *Session, quarantine bool, reason string) {
 	p.returnToken(sh)
 }
 
-// accumulateTagsLocked folds a departing session's monotonic tag-storage
+// accumulateTagsLocked folds a departing session's monotonic storage
 // counters into the pool carry-over. Caller holds p.mu; the session is
 // already closed, so its counters are final.
 func (p *Pool) accumulateTagsLocked(s *Session) {
@@ -379,15 +391,17 @@ func (p *Pool) accumulateTagsLocked(s *Session) {
 	p.retiredTags.PagesUniform += st.PagesUniform
 	p.retiredTags.ZeroDedupHits += st.ZeroDedupHits
 	p.retiredTags.DirsMaterialized += st.DirsMaterialized
+	p.retiredTags.DataPagesMaterialized += st.DataPagesMaterialized
 }
 
-// TagStats aggregates hierarchical tag-storage accounting across the pool:
-// monotonic counters (page and directory materializations, uniform swaps,
-// zero-dedup hits) sum over live *and* departed sessions, while the residency
-// gauges
-// (BytesResident, BytesFlatEquiv, page counts) reflect only sessions
-// currently live — that ratio is the pool's real tag-memory footprint
-// versus what the flat tag array of PR 2 would pay for the same mappings.
+// TagStats aggregates storage accounting across the pool: monotonic
+// counters (tag page and directory materializations, uniform swaps,
+// zero-dedup hits, data page materializations) sum over live *and* departed
+// sessions, while the residency gauges (BytesResident, BytesFlatEquiv,
+// DataBytesResident, DataBytesMapped, page counts) reflect only sessions
+// currently live — resident against flat-equivalent (tags) or mapped (data)
+// bytes is the pool's real memory footprint against what eager flat storage
+// would pay for the same mappings.
 func (p *Pool) TagStats() mem.TagStats {
 	p.mu.Lock()
 	agg := p.retiredTags
@@ -414,6 +428,9 @@ func (p *Pool) TagStats() mem.TagStats {
 		agg.DirBytes += st.DirBytes
 		agg.BytesResident += st.BytesResident
 		agg.BytesFlatEquiv += st.BytesFlatEquiv
+		agg.DataPagesMaterialized += st.DataPagesMaterialized
+		agg.DataBytesResident += st.DataBytesResident
+		agg.DataBytesMapped += st.DataBytesMapped
 	}
 	return agg
 }

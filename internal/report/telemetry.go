@@ -99,9 +99,9 @@ type SpanStat struct {
 	MaxNS uint64 `json:"max_ns"`
 }
 
-// TagTableStats is the hierarchical tag-storage slice of a telemetry
-// snapshot, pulled live from the pool's per-session spaces (internal/mem's
-// two-level tag table). The *_total fields are monotonic across session
+// TagTableStats is the storage slice of a telemetry snapshot, pulled live
+// from the pool's per-session spaces: internal/mem's two-level tag table
+// and its paged data plane. The *_total fields are monotonic across session
 // retirement; the byte fields are gauges over currently live sessions.
 type TagTableStats struct {
 	// TagPagesMaterialized counts copy-on-tag page materializations;
@@ -122,6 +122,14 @@ type TagTableStats struct {
 	// ratio is the footprint reduction the two-level table buys.
 	TagBytesResident  uint64 `json:"tag_bytes_resident"`
 	TagBytesFlatEquiv uint64 `json:"tag_bytes_flat_equiv"`
+	// DataPagesMaterialized counts data pages a first store filled in
+	// (internal/mem's paged data plane); DataBytesResident is the data
+	// memory live sessions hold (materialized pages + page directories)
+	// and DataBytesMapped their mapped heap bytes. Their ratio is what
+	// lazily backed memory saves over eagerly zeroed heaps.
+	DataPagesMaterialized uint64 `json:"data_pages_materialized_total"`
+	DataBytesResident     uint64 `json:"data_bytes_resident"`
+	DataBytesMapped       uint64 `json:"data_bytes_mapped"`
 }
 
 // probeBucketBounds are the upper bounds of the probes-to-detect histogram
@@ -169,6 +177,10 @@ type TelemetrySnapshot struct {
 	CanceledTotal         uint64 `json:"canceled_total"`
 	DeadlineExceededTotal uint64 `json:"deadline_exceeded_total"`
 	StepsExceededTotal    uint64 `json:"steps_exceeded_total"`
+	// PanicsTotal counts runs a Go panic ended (a bug in a native body or
+	// the runtime, not a simulated signal): each was answered 500 and its
+	// session retired. Such requests also count in ErrorsTotal.
+	PanicsTotal uint64 `json:"panics_total"`
 	// Elision counters: the total number of statically proven guard-free
 	// sites bound into served runs, and how many proof-carrying runs fell
 	// back to checked access (digest mismatch, remap, release retirement).
@@ -224,6 +236,9 @@ type Sink struct {
 	// aggregates per-phase request timings keyed by phase name.
 	aborts    [4]uint64
 	spanStats map[string]*SpanStat
+
+	// panics counts runs ended by a contained Go panic.
+	panics uint64
 
 	// Elision counters: proven guard-free sites bound into runs, and runs
 	// whose proofs were invalidated back to checked access.
@@ -343,6 +358,14 @@ func (s *Sink) ObserveSpans(spans []exec.Span) {
 			st.MaxNS = ns
 		}
 	}
+}
+
+// ObservePanic records a run that a Go panic ended; the request itself is
+// recorded separately through ObserveRequest.
+func (s *Sink) ObservePanic() {
+	s.mu.Lock()
+	s.panics++
+	s.mu.Unlock()
 }
 
 // ObserveRequest records one completed request: its wall-clock duration and
@@ -510,6 +533,7 @@ func (s *Sink) Snapshot() TelemetrySnapshot {
 		CanceledTotal:           s.aborts[exec.AbortCanceled],
 		DeadlineExceededTotal:   s.aborts[exec.AbortDeadline],
 		StepsExceededTotal:      s.aborts[exec.AbortSteps],
+		PanicsTotal:             s.panics,
 		ElidedSitesTotal:        s.elidedSites,
 		ElisionInvalidatedTotal: s.elisionInvalidated,
 		TemporalFlaggedTotal:    s.temporalFlagged,

@@ -36,6 +36,24 @@ import (
 	"mte4jni/internal/workloads"
 )
 
+// nativeHook, when set by an in-package test, runs on the leased session as
+// one native call through the JNI trampoline before the request's own work:
+// the injection point for a Go panic in a native body.
+var nativeHook jni.NativeFunc
+
+// runContained runs a leased session's work and contains a Go panic from it
+// — a bug in a native body or in the runtime, which the JNI trampoline
+// re-raises because it is not a simulated signal. The panic value comes
+// back as the second result; the caller retires the session.
+func runContained(run func() *pool.RunResult) (res *pool.RunResult, panicked any) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, panicked = nil, r
+		}
+	}()
+	return run(), nil
+}
+
 // StatusClientClosedRequest is the non-standard status (nginx's 499) a run
 // ended by client disconnect is answered with — the connection is usually
 // gone, but tests and proxies still see the distinction from 503/504.
@@ -104,7 +122,7 @@ func New(cfg Config) *Server {
 	// The admission policy is part of the screen-cache key: a verdict
 	// computed under one policy is never served under another.
 	s.screen.SetTemporalPolicy(cfg.TemporalPolicy)
-	// /metrics pulls the hierarchical tag-storage gauges straight from the
+	// /metrics pulls the tag-storage and data-plane gauges straight from the
 	// pool's session spaces at snapshot time.
 	s.sink.SetTagStatsProvider(func() report.TagTableStats {
 		ts := s.pool.TagStats()
@@ -116,6 +134,10 @@ func New(cfg Config) *Server {
 			TagDirBytes:          ts.DirBytes,
 			TagBytesResident:     ts.BytesResident,
 			TagBytesFlatEquiv:    ts.BytesFlatEquiv,
+
+			DataPagesMaterialized: ts.DataPagesMaterialized,
+			DataBytesResident:     ts.DataBytesResident,
+			DataBytesMapped:       ts.DataBytesMapped,
 		}
 	})
 	s.http = &http.Server{
@@ -390,13 +412,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				scheme = mte4jni.MTESync
 			}
 		}
-		prog, err = analysis.ParseProgram(req.Program)
-		if err != nil {
-			jsonError(w, http.StatusBadRequest, "bad program: %v", err)
-			return
-		}
-		// A safe verdict carries its compiled elision proofs; binding them to
-		// the freshly parsed program is re-validated inside RunProgramElided.
+		// The screen parsed these bytes once; runs share that immutable
+		// parse. A safe verdict carries its compiled elision proofs; binding
+		// them to the program is re-validated inside RunProgramElided.
+		prog = verdict.Program
 		elision = verdict.Elision
 		workload = prog.Method.Name
 	}
@@ -464,16 +483,32 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ec.Begin(exec.PhaseExec)
-	var res *pool.RunResult
-	switch {
-	case attack:
-		res = sess.RunAttackProbe(ec)
-	case prog != nil:
-		res = sess.RunProgramElided(ec, prog, elision)
-	default:
-		res = sess.RunWorkload(ec, workload, scale, req.Iterations)
-	}
+	res, panicked := runContained(func() *pool.RunResult {
+		if nativeHook != nil {
+			_, _ = sess.Env().CallNative("nativeHook", jni.Regular, nativeHook)
+		}
+		switch {
+		case attack:
+			return sess.RunAttackProbe(ec)
+		case prog != nil:
+			return sess.RunProgramElided(ec, prog, elision)
+		default:
+			return sess.RunWorkload(ec, workload, scale, req.Iterations)
+		}
+	})
 	ec.End(exec.PhaseExec)
+	if panicked != nil {
+		// The lease ends here either way: the session is retired rather
+		// than released, so its token returns and the ledger stays exact.
+		ec.Begin(exec.PhaseRelease)
+		s.pool.Retire(sess, fmt.Sprintf("native panic: %v", panicked))
+		ec.End(exec.PhaseRelease)
+		s.sink.ObservePanic()
+		s.sink.ObserveSpans(ec.Spans())
+		s.sink.ObserveRequest(time.Since(start), false, true)
+		jsonError(w, http.StatusInternalServerError, "native panic in session %s: %v", sess.Name(), panicked)
+		return
+	}
 	abort := exec.Classify(res.Err)
 	resp := RunResponse{
 		Session:            sess.Name(),

@@ -161,8 +161,3 @@ func (o *Object) GetInt(i int) (int32, error) {
 	bits, err := o.GetElem(i)
 	return int32(uint32(bits)), err
 }
-
-// Bytes returns the raw payload bytes of the object (runtime-internal view).
-func (o *Object) Bytes() ([]byte, error) {
-	return o.vm.JavaHeap.Mapping().Bytes(o.DataBegin(), o.DataSize())
-}

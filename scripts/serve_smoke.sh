@@ -78,6 +78,19 @@ if command -v curl >/dev/null 2>&1; then
 		cat "$METRICS" >&2
 		exit 1
 	fi
+
+	# Paged data plane, the same claim for heap bytes: the workloads must have
+	# materialized data pages, and the live sessions must hold >=10x less
+	# data memory than their mapped heaps (what eagerly zeroed heaps held).
+	check_metrics '"data_pages_materialized_total":' '"data_bytes_resident":' '"data_bytes_mapped":'
+	dmaterialized="$(sed -n 's/.*"data_pages_materialized_total":\([0-9]*\).*/\1/p' "$METRICS")"
+	dresident="$(sed -n 's/.*"data_bytes_resident":\([0-9]*\).*/\1/p' "$METRICS")"
+	dmapped="$(sed -n 's/.*"data_bytes_mapped":\([0-9]*\).*/\1/p' "$METRICS")"
+	if [ "${dmaterialized:-0}" -eq 0 ] || [ "${dresident:-0}" -eq 0 ] || [ "${dmapped:-0}" -lt $((dresident * 10)) ]; then
+		echo "serve-smoke: data residency not >=10x under mapped (materialized=$dmaterialized resident=$dresident mapped=$dmapped)" >&2
+		cat "$METRICS" >&2
+		exit 1
+	fi
 fi
 
 # Graceful shutdown: SIGTERM must produce a clean exit 0.
@@ -199,4 +212,4 @@ else
 	echo "serve-smoke: shard scaling speedup gate skipped (it needs >= 4 CPUs, this host has $CPUS); non-regression held (shards=1 $NS1 ns/op, shards=8 $NS8 ns/op)"
 fi
 
-echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag residency >=10x under flat, 12 temporal corpus programs flagged with 3 policy rejections, 128 closed-loop + 120 open-loop requests reconciled exactly across 8 shards under the p99 SLO, clean shutdown)"
+echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag and data residency >=10x under flat and mapped, 12 temporal corpus programs flagged with 3 policy rejections, 128 closed-loop + 120 open-loop requests reconciled exactly across 8 shards under the p99 SLO, clean shutdown)"

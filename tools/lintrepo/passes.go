@@ -112,14 +112,17 @@ func isSelector(e ast.Expr, pkg, name string) bool {
 // or the heap/VM abstractions.
 
 // spaceInternals are the Space/Mapping methods the upper layers must not
-// call. Bytes is handled separately (see memBytesSuspicious): the name
-// collides with bytes.Buffer.Bytes and friends, so it is only flagged when
-// the receiver is syntactically tied to a mem mapping.
+// call: raw tag writes, the scan-lock plumbing, and every raw data helper
+// (the paged data plane hands out no byte views, so these are the whole
+// unchecked surface).
 var spaceInternals = map[string]bool{
 	"SetTagRange":    true,
 	"ZeroTagRange":   true,
 	"ReadRaw":        true,
 	"WriteRaw":       true,
+	"ZeroRaw":        true,
+	"CopyRaw":        true,
+	"VisitRaw":       true,
 	"EnableScanSync": true,
 	"LockScan":       true,
 	"UnlockScan":     true,
@@ -154,10 +157,7 @@ func checkMemEncapsulation(importPath string, files []*ast.File) []diagnostic {
 				return true
 			}
 			name := sel.Sel.Name
-			switch {
-			case spaceInternals[name]:
-			case name == "Bytes" && memBytesSuspicious(sel.X):
-			default:
+			if !spaceInternals[name] {
 				return true
 			}
 			diags = append(diags, diagnostic{
@@ -168,25 +168,6 @@ func checkMemEncapsulation(importPath string, files []*ast.File) []diagnostic {
 		})
 	}
 	return diags
-}
-
-// memBytesSuspicious reports whether the receiver of a .Bytes() call is
-// syntactically a mem mapping — i.e. the expression itself goes through a
-// Mapping() accessor (vm.JavaHeap.Mapping().Bytes(...)). Plain identifiers
-// (bytes.Buffer and friends) are left alone: without type information the
-// name alone proves nothing, and a denied package holding a *mem.Mapping in
-// a local would already have been flagged at whatever internals call
-// produced it.
-func memBytesSuspicious(recv ast.Expr) bool {
-	found := false
-	ast.Inspect(recv, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mapping" {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ func TestMemEncapsulationPass(t *testing.T) {
 		got := lintFixture(t, pkg, "encap_bad.go")
 		wantDiags(t, got,
 			"call to SetTagRange reaches into mem.Space internals",
-			"call to Bytes reaches into mem.Space internals",
 			"call to WriteRaw reaches into mem.Space internals",
+			"call to ZeroRaw reaches into mem.Space internals",
+			"call to CopyRaw reaches into mem.Space internals",
 		)
 	}
 }

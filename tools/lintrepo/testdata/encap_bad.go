@@ -1,18 +1,12 @@
 // Fixture for the mem-encapsulation pass, analyzed as
-// mte4jni/internal/server (a denied package): the SetTagRange and
-// Mapping().Bytes calls must be flagged; the bytes.Buffer.Bytes call and
-// the checked Load32 must not.
+// mte4jni/internal/server (a denied package): the SetTagRange call and the
+// raw data helpers must be flagged; the checked Load32 must not.
 package server
 
-import "bytes"
-
 func poke(space spaceLike, v vmLike) {
-	space.SetTagRange(0, 16, 3)           // flagged: raw tag storage
-	v.JavaHeap.Mapping().Bytes(0, 16)     // flagged: unchecked byte window
-	v.JavaHeap.Mapping().WriteRaw(0, nil) // flagged: unchecked write
-	space.Load32(nil, 0)                  // fine: checked access API
-
-	var buf bytes.Buffer
-	buf.WriteByte(1)
-	_ = buf.Bytes() // fine: not a mem mapping
+	space.SetTagRange(0, 16, 3)                // flagged: raw tag storage
+	v.JavaHeap.Mapping().WriteRaw(0, nil)      // flagged: unchecked write
+	v.JavaHeap.Mapping().ZeroRaw(0, 16)        // flagged: unchecked zeroing
+	v.JavaHeap.Mapping().CopyRaw(0, nil, 0, 8) // flagged: unchecked copy
+	space.Load32(nil, 0)                       // fine: checked access API
 }
