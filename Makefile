@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-repo check bench bench-pass bench-snapshot bench-smoke serve-smoke redteam-smoke temporal-differential
+.PHONY: build test race flake vet fmt lint lint-repo check bench bench-pass bench-snapshot bench-smoke serve-smoke redteam-smoke temporal-differential
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Order and scheduling dependence: every test ten times in shuffled order,
+# once on a single P and once with the default GOMAXPROCS. A test that
+# passes alone but fails here depends on timing, on another test's state or
+# on the order it runs in.
+flake:
+	GOMAXPROCS=1 $(GO) test -count=10 -shuffle=on ./...
+	$(GO) test -count=10 -shuffle=on ./...
 
 vet:
 	$(GO) vet ./...
@@ -51,7 +59,8 @@ bench-pass:
 	run '^BenchmarkLoad64(Checked|Unguarded)$$' ./internal/mem; \
 	run '^Benchmark(CopyOutChecked|CopyOutUnguarded|MoveChecked|SetTagRange)$$/^n=16384$$' ./internal/mem; \
 	run '^BenchmarkAllocFree(Serial|Parallel8)$$/^size=256$$' ./internal/heap; \
-	run '^Benchmark(ScreenInline|Throughput|SessionBuild)$$' ./internal/analysis ./internal/pool
+	run '^Benchmark(ScreenInline|Throughput|SessionBuild)$$' ./internal/analysis ./internal/pool; \
+	run '^BenchmarkWorkloadSetup$$' ./internal/workloads
 
 # A benchmark snapshot (~7 min): ten bench-pass runs, folded by `mte4jni
 # bench -parse` into one row per benchmark (its fastest run, with the
@@ -103,5 +112,5 @@ redteam-smoke:
 	GO="$(GO)" sh ./scripts/redteam_smoke.sh
 
 # Extended tier-1 gate (see ROADMAP.md).
-check: fmt vet lint-repo race lint temporal-differential bench-smoke serve-smoke redteam-smoke
+check: fmt vet lint-repo race flake lint temporal-differential bench-smoke serve-smoke redteam-smoke
 	@echo "check: ok"

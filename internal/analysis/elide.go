@@ -87,12 +87,6 @@ func (el *Elision) Proof(pc int) *ElisionProof {
 	return nil
 }
 
-// ProgramDigest returns the hex program digest the proofs are sealed to.
-func (el *Elision) ProgramDigest() string { return hex.EncodeToString(el.programDigest[:]) }
-
-// ProofDigest returns the hex digest over the proof records.
-func (el *Elision) ProofDigest() string { return hex.EncodeToString(el.proofDigest[:]) }
-
 // ValidateBinding checks that p is byte-for-byte the program these proofs
 // were compiled from — same code, same layout, same native summaries. A
 // mismatch (e.g. a summary rebound between screening and execution) means

@@ -101,11 +101,6 @@ func unknownReason(res *MethodResult) string {
 	return "analyzer proves nothing either way"
 }
 
-// ProgramKey hashes a program's raw JSON into the screen-cache key. Keying
-// on bytes (not the parsed form) keeps the cache sound: any semantic
-// difference implies a byte difference.
-func ProgramKey(raw []byte) [sha256.Size]byte { return sha256.Sum256(raw) }
-
 // DefaultScreenCacheSize bounds the verdict cache when NewScreenCache is
 // given zero.
 const DefaultScreenCacheSize = 1024

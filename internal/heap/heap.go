@@ -118,6 +118,10 @@ type Heap struct {
 	// keeps a reference for the Unmap call, everything else is released.
 	closed atomic.Bool
 	space  *mem.Space
+
+	// pushedShards has bit i set once a block has been pushed onto shard
+	// i's free lists since the last Reset, so Reset visits only those.
+	pushedShards atomic.Uint32
 }
 
 // New creates a heap inside space according to cfg.
@@ -211,6 +215,40 @@ func (h *Heap) Close() error {
 
 // Closed reports whether Close has run.
 func (h *Heap) Closed() bool { return h.closed.Load() }
+
+// Reset returns a heap with no live block to its initial bump state: the
+// cursor goes back to the mapping's base and every TLAB and free list
+// empties, so the next allocations reuse the lowest addresses whatever sizes
+// the earlier ones had. Without it the exact-size free lists keep every
+// size a heap has ever served resident. A heap holding a live block is left
+// untouched, and Reset reports whether it reset. The TLAB handles, free-list
+// slices, registry chunks and data pages are kept (every registry entry is
+// already zero and Alloc zeroes each block), so a reset allocates nothing,
+// and it visits only the free-list shards pushed to since the last one.
+// The Stats counters are cumulative and keep counting. Like Close it
+// requires quiescence: no concurrent Alloc or Free.
+func (h *Heap) Reset() bool {
+	if h.closed.Load() || h.liveCount.Load() != 0 {
+		return false
+	}
+	for i := range h.tlabs {
+		if t := h.tlabs[i].Load(); t != nil {
+			t.cur, t.end = 0, 0
+		}
+	}
+	for pushed := h.pushedShards.Swap(0); pushed != 0; pushed &= pushed - 1 {
+		sh := &h.shards[bits.TrailingZeros32(pushed)]
+		sh.mu.Lock()
+		for size, list := range sh.free {
+			sh.free[size] = list[:0]
+		}
+		sh.mu.Unlock()
+	}
+	h.carveMu.Lock()
+	h.cursor = h.mapping.Base()
+	h.carveMu.Unlock()
+	return true
+}
 
 // Alloc returns the zeroed, aligned base address of a fresh block of at
 // least size bytes.

@@ -88,12 +88,21 @@ func (h *Heap) popFree(rounded uint64) (mte.Addr, bool) {
 	return 0, false
 }
 
-// pushFree recycles a block onto its class's LIFO.
+// pushFree recycles a block onto its class's LIFO and marks the shard for
+// the next Reset. The mark is a load of a word that stays set, so frees
+// after the first add no write to it.
 func (h *Heap) pushFree(addr mte.Addr, rounded uint64) {
-	sh := h.shardFor(rounded)
+	i := (rounded >> h.shift) & (numShards - 1)
+	sh := &h.shards[i]
 	sh.mu.Lock()
 	sh.free[rounded] = append(sh.free[rounded], addr)
 	sh.mu.Unlock()
+	for bit := uint32(1) << i; ; {
+		old := h.pushedShards.Load()
+		if old&bit != 0 || h.pushedShards.CompareAndSwap(old, old|bit) {
+			return
+		}
+	}
 }
 
 // takeTLAB claims a buffer from the striped handle cache, or nil when every

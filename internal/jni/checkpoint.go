@@ -1,10 +1,6 @@
 package jni
 
-import (
-	"fmt"
-
-	"mte4jni/internal/mte"
-)
+import "fmt"
 
 // Checkpoint placement: where, relative to the acquire/release window a
 // native holds on a handed-out region, the checker actually observes an
@@ -50,28 +46,5 @@ func (p CheckPlacement) String() string {
 		return "never"
 	default:
 		return fmt.Sprintf("CheckPlacement(%d)", int(p))
-	}
-}
-
-// Deferred reports whether the placement leaves a window between a violating
-// access and its report — the precondition for every temporal attack shape.
-func (p CheckPlacement) Deferred() bool {
-	return p == PlaceTrampolineExit || p == PlaceAtRelease
-}
-
-// PlacementForTCF maps a native kind and an MTE check mode to the checkpoint
-// placement the trampoline realizes for that combination. @CriticalNative
-// trampolines never arm checking regardless of mode (trampoline.go).
-func PlacementForTCF(kind NativeKind, mode mte.CheckMode) CheckPlacement {
-	if kind == CriticalNative {
-		return PlaceNever
-	}
-	switch mode {
-	case mte.TCFSync:
-		return PlacePerAccess
-	case mte.TCFAsync:
-		return PlaceTrampolineExit
-	default:
-		return PlaceNever
 	}
 }

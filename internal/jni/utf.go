@@ -60,11 +60,6 @@ func DecodeModifiedUTF8(b []byte) ([]uint16, error) {
 	return units, nil
 }
 
-// ModifiedUTF8FromString encodes a Go string via its UTF-16 form.
-func ModifiedUTF8FromString(s string) []byte {
-	return EncodeModifiedUTF8(utf16.Encode([]rune(s)))
-}
-
 // StringFromModifiedUTF8 decodes Modified UTF-8 into a Go string.
 func StringFromModifiedUTF8(b []byte) (string, error) {
 	units, err := DecodeModifiedUTF8(b)

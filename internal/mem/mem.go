@@ -118,9 +118,6 @@ type Mapping struct {
 // attach before they run).
 func (m *Mapping) EnableScanSync() { m.scanSync.Store(true) }
 
-// ScanSyncEnabled reports whether concurrent-scan mode is on.
-func (m *Mapping) ScanSyncEnabled() bool { return m.scanSync.Load() }
-
 // LockScan and UnlockScan bracket a concurrent scanner's reads of mapping
 // data, excluding checked stores for the duration. Scanners hold the lock
 // per scanned object, not per scan, so mutators are never stalled for more

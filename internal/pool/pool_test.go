@@ -3,6 +3,9 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,6 +123,21 @@ func TestFaultQuarantinesSession(t *testing.T) {
 	}
 }
 
+// checkLedger requires every shard's lease ledger to be drained, with
+// leases[i] leases served and created[i] sessions built on shard i, and the
+// pool-wide AssertDrained to agree.
+func checkLedger(t *testing.T, p *Pool, leases, created []uint64) {
+	t.Helper()
+	for i, sh := range p.Stats().Shards {
+		if sh.Leased != 0 || sh.Waiters != 0 || sh.Leases != leases[i] || sh.Created != created[i] {
+			t.Fatalf("shard %d ledger = %+v, want nothing leased or waiting, %d leases, %d created", i, sh, leases[i], created[i])
+		}
+	}
+	if err := p.AssertDrained(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLeakedGlobalRetiresSession(t *testing.T) {
 	p := testPool(t, Config{MaxSessions: 1})
 	ctx := context.Background()
@@ -140,6 +158,7 @@ func TestLeakedGlobalRetiresSession(t *testing.T) {
 	if st.Retired != 1 || st.Quarantined != 0 {
 		t.Fatalf("stats = %+v, want retired=1 (hygiene, not quarantine)", st)
 	}
+	checkLedger(t, p, []uint64{1}, []uint64{1})
 	s2, err := p.Acquire(ctx, mte4jni.MTESync)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +166,137 @@ func TestLeakedGlobalRetiresSession(t *testing.T) {
 	if s2.Name() == leaky {
 		t.Fatal("leaky session was reused")
 	}
-	p.Release(s2)
+
+	// The same leak on the rebuilt session, recycled by hand to look at the
+	// heap before the retire closes it: the hygiene failure must leave the
+	// heap holding the leaked object as it was, never reset, so its block
+	// stays live and the next block lands past it.
+	v := s2.Runtime().VM()
+	leaked, err := v.NewIntArray(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.AddGlobalRef(leaked)
+	rerr := s2.recycle()
+	if rerr == nil {
+		t.Fatal("recycle accepted a session with a leaked global")
+	}
+	if size, ok := v.JavaHeap.SizeOf(leaked.Addr()); !ok || size == 0 {
+		t.Fatal("the leaked object's block is no longer live after the failed recycle")
+	}
+	next, err := v.NewIntArray(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Addr() <= leaked.Addr() {
+		t.Fatalf("next block at %v, at or below the leaked block at %v: the heap was reset", next.Addr(), leaked.Addr())
+	}
+	p.Retire(s2, rerr.Error())
+	if st := p.Stats(); st.Retired != 2 {
+		t.Fatalf("stats = %+v, want retired=2", st)
+	}
+	checkLedger(t, p, []uint64{2}, []uint64{2})
+}
+
+// TestFailedBuildReturnsToken fails every other session build through
+// buildHook while goroutines lease concurrently across two shards, retiring
+// each session they get so that every lease builds. A failed build must
+// close the runtime it built and give its token back: afterwards the
+// per-shard ledger is exact, the pool drains, and the full capacity can be
+// leased at once.
+func TestFailedBuildReturnsToken(t *testing.T) {
+	errBuild := errors.New("injected build failure")
+	var (
+		mu     sync.Mutex
+		builds int
+		failed []*mte4jni.Runtime
+	)
+	buildHook = func(rt *mte4jni.Runtime) error {
+		mu.Lock()
+		defer mu.Unlock()
+		builds++
+		if builds%2 == 1 {
+			failed = append(failed, rt)
+			return errBuild
+		}
+		return nil
+	}
+	// Registered before testPool's cleanup, so it runs after Close.
+	t.Cleanup(func() { buildHook = nil })
+	const sessions, workers, leasesEach = 4, 8, 10
+	p := testPool(t, Config{MaxSessions: sessions, Shards: 2})
+	ctx := context.Background()
+
+	var wg sync.WaitGroup
+	var ok, refused atomic.Int64
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			scheme := mte4jni.Schemes()[g%4]
+			for i := 0; i < leasesEach; i++ {
+				s, err := p.AcquireFor(ctx, scheme, fmt.Sprintf("tenant-%d", g))
+				if err != nil {
+					if !errors.Is(err, errBuild) {
+						t.Errorf("acquire: %v, want the injected build failure", err)
+						return
+					}
+					refused.Add(1)
+					continue
+				}
+				if res := s.RunProgram(nil, SafeProgram()); res.Fault != nil || res.Err != nil {
+					t.Errorf("safe program under %s: fault=%v err=%v", scheme, res.Fault, res.Err)
+				}
+				p.Retire(s, "one lease per session")
+				ok.Add(1)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if ok.Load()+refused.Load() != workers*leasesEach || ok.Load() == 0 || refused.Load() == 0 {
+		t.Fatalf("%d leases and %d refused builds, want %d in all and some of each", ok.Load(), refused.Load(), workers*leasesEach)
+	}
+	if int64(len(failed)) != refused.Load() {
+		t.Fatalf("%d builds failed, %d acquires refused", len(failed), refused.Load())
+	}
+	for _, rt := range failed {
+		if !rt.VM().Closed() {
+			t.Fatal("a failed session build left its runtime open")
+		}
+	}
+	st := p.Stats()
+	if st.Created != uint64(ok.Load()) || st.Retired != uint64(ok.Load()) || st.Reused != 0 {
+		t.Fatalf("stats = %+v, want %d created and retired, none reused", st, ok.Load())
+	}
+	leases := make([]uint64, len(st.Shards))
+	for i, sh := range st.Shards {
+		leases[i] = sh.Leases
+	}
+	checkLedger(t, p, leases, leases)
+
+	// Every token came back: with builds succeeding, the whole capacity
+	// leases at once without waiting.
+	buildHook = nil
+	var held []*Session
+	for i := 0; i < sessions; i++ {
+		s, err := p.AcquireFor(ctx, mte4jni.NoProtection, fmt.Sprintf("holder-%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, s)
+	}
+	if st := p.Stats(); st.Leased != sessions || st.Waiters != 0 {
+		t.Fatalf("stats with the capacity leased = %+v", st)
+	}
+	for _, s := range held {
+		p.Release(s)
+	}
+	if err := p.AssertDrained(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestBackpressure(t *testing.T) {

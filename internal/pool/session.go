@@ -92,13 +92,24 @@ func (p *Pool) newSession(id uint64, scheme mte4jni.Scheme, seed int64) (*Sessio
 		return nil, err
 	}
 	s := &Session{id: id, scheme: scheme, rt: rt, created: time.Now()}
-	env, err := rt.AttachEnv(s.threadName())
+	if buildHook != nil {
+		err = buildHook(rt)
+	}
+	if err == nil {
+		s.env, err = rt.AttachEnv(s.threadName())
+	}
 	if err != nil {
+		_ = rt.VM().Close()
 		return nil, err
 	}
-	s.env = env
 	return s, nil
 }
+
+// buildHook, when set by an in-package test, runs on every freshly built
+// runtime before its thread attaches; an error from it fails the session
+// build the way an AttachEnv error does. It is the injection point for a
+// failed session build.
+var buildHook func(*mte4jni.Runtime) error
 
 // Name is the session's stable serving identity.
 func (s *Session) Name() string { return fmt.Sprintf("sess-%d", s.id) }
@@ -307,14 +318,20 @@ func (s *Session) RunAttackProbe(ec *exec.Context) *RunResult {
 // is detached (dropping its local-reference roots), the heap is collected,
 // and the session is hygiene-checked — objects surviving collection mean the
 // lease leaked state into the next tenant, so the session is retired instead
-// of reused. On success a fresh generation's thread is attached.
+// of reused. A clean session's two heaps are reset to their initial bump
+// state, so the next lease allocates from the same low addresses and the
+// session's resident data stays bounded by its largest single lease. On
+// success a fresh generation's thread is attached.
 func (s *Session) recycle() error {
 	s.rt.DetachEnv(s.env)
 	s.env = nil
 	s.rt.GC()
-	if n := s.rt.VM().LiveObjects(); n != 0 {
+	v := s.rt.VM()
+	if n := v.LiveObjects(); n != 0 {
 		return fmt.Errorf("pool: session %s leaked %d objects across lease", s.Name(), n)
 	}
+	v.JavaHeap.Reset()
+	v.NativeHeap.Reset()
 	s.gen.Add(1)
 	env, err := s.rt.AttachEnv(s.threadName())
 	if err != nil {

@@ -32,26 +32,22 @@ func (w *FileCompression) Name() string { return "File Compression" }
 // Pattern implements Workload.
 func (w *FileCompression) Pattern() Pattern { return Bulk }
 
-// Setup implements Workload: synthesize a compressible corpus.
+// Setup implements Workload: a compressible corpus.
 func (w *FileCompression) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
-	words := []string{"the ", "quick ", "brown ", "fox ", "jumps ", "over ", "lazy ", "dog ", "memory ", "tagging "}
-	data := make([]byte, w.size)
-	rng := xorshift32(0xC0FFEE)
-	pos := 0
-	for pos < w.size {
-		word := words[rng.next()%uint32(len(words))]
-		n := copy(data[pos:], word)
-		pos += n
-	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, data); err != nil {
-		return err
-	}
+	arr, err := newArrayFrom(env, vm.KindByte, seeded("corpus", w.size, 0xC0FFEE, corpusBytes))
 	w.input = arr
-	return nil
+	return err
+}
+
+// corpusBytes synthesizes size bytes of text drawn from a small vocabulary.
+func corpusBytes(size int, seed uint32) []byte {
+	words := []string{"the ", "quick ", "brown ", "fox ", "jumps ", "over ", "lazy ", "dog ", "memory ", "tagging "}
+	data := make([]byte, size)
+	rng := xorshift32(seed)
+	for pos := 0; pos < size; {
+		pos += copy(data[pos:], words[rng.next()%uint32(len(words))])
+	}
+	return data
 }
 
 // lz77Compress compresses src with a hash-chained LZ77 and returns the
@@ -134,23 +130,25 @@ func (w *AssetCompression) Name() string { return "Asset Compression" }
 // Pattern implements Workload.
 func (w *AssetCompression) Pattern() Pattern { return Bulk }
 
-// Setup implements Workload: synthesize smooth vertex positions, which
-// delta-encode well.
+// Setup implements Workload: smooth vertex positions, which delta-encode
+// well.
 func (w *AssetCompression) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindInt, w.verts)
-	if err != nil {
-		return err
-	}
-	rng := xorshift32(0xA55E7)
-	v := int32(1 << 20)
-	for i := 0; i < w.verts; i++ {
-		v += int32(rng.next()%17) - 8 // small jitter: smooth surface
-		if err := arr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
-	}
+	arr, err := newArrayFrom(env, vm.KindInt, seeded("mesh", w.verts, 0xA55E7, meshBytes))
 	w.mesh = arr
-	return nil
+	return err
+}
+
+// meshBytes synthesizes verts positions, each a small jitter away from the
+// last: a smooth surface.
+func meshBytes(verts int, seed uint32) []byte {
+	vals := make([]int32, verts)
+	rng := xorshift32(seed)
+	v := int32(1 << 20)
+	for i := range vals {
+		v += int32(rng.next()%17) - 8
+		vals[i] = v
+	}
+	return intBytes(vals)
 }
 
 // Run implements Workload.

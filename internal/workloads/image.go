@@ -19,10 +19,11 @@ func imageDim(s Scale) int {
 // newImage allocates a Java int[] of dim*dim ARGB pixels filled with a
 // deterministic gradient-plus-noise pattern.
 func newImage(env *jni.Env, dim int, seed uint32) (*vm.Object, error) {
-	arr, err := env.NewArray(vm.KindInt, dim*dim)
-	if err != nil {
-		return nil, err
-	}
+	return newArrayFrom(env, vm.KindInt, seeded("image", dim, seed, imageBytes))
+}
+
+// imageBytes renders the gradient-plus-noise pattern of a dim*dim image.
+func imageBytes(dim int, seed uint32) []byte {
 	rng := xorshift32(seed)
 	data := make([]byte, dim*dim*4)
 	for y := 0; y < dim; y++ {
@@ -34,10 +35,7 @@ func newImage(env *jni.Env, dim int, seed uint32) (*vm.Object, error) {
 			data[i], data[i+1], data[i+2], data[i+3] = b, g, r, 0xFF
 		}
 	}
-	if err := env.SetArrayRegion(vm.KindInt, arr, 0, dim*dim, data); err != nil {
-		return nil, err
-	}
-	return arr, nil
+	return data
 }
 
 // PDFRenderer stands in for GB6 "PDF Renderer": rasterizing vector path
@@ -446,11 +444,14 @@ func (w *HorizonDetection) Pattern() Pattern { return Bulk }
 
 // Setup implements Workload: a sky/ground split gives a real horizon.
 func (w *HorizonDetection) Setup(env *jni.Env) error {
-	dim := w.dim
-	arr, err := env.NewArray(vm.KindInt, dim*dim)
-	if err != nil {
-		return err
-	}
+	arr, err := newArrayFrom(env, vm.KindInt, seeded("horizon", w.dim, 0, horizonBytes))
+	w.img = arr
+	return err
+}
+
+// horizonBytes renders a dim*dim sky over ground with a slightly tilted
+// horizon. It draws no random numbers; seed is unused.
+func horizonBytes(dim int, _ uint32) []byte {
 	data := make([]byte, dim*dim*4)
 	for y := 0; y < dim; y++ {
 		for x := 0; x < dim; x++ {
@@ -462,11 +463,7 @@ func (w *HorizonDetection) Setup(env *jni.Env) error {
 			}
 		}
 	}
-	if err := env.SetArrayRegion(vm.KindInt, arr, 0, dim*dim, data); err != nil {
-		return err
-	}
-	w.img = arr
-	return nil
+	return data
 }
 
 // Run implements Workload.

@@ -13,12 +13,14 @@ import (
 // pattern: the graph crosses JNI once per run, route computation is native.
 type Navigation struct {
 	nodes   int
-	degree  int
 	offsets *vm.Object // int[nodes+1]
 	edges   *vm.Object // int[] pairs (dst, weight) flattened
 	dist    int64
 	reached int
 }
+
+// navDegree is each node's out-degree: one ring edge plus random chords.
+const navDegree = 4
 
 // NewNavigation builds the workload at the given scale.
 func NewNavigation(s Scale) *Navigation {
@@ -26,7 +28,7 @@ func NewNavigation(s Scale) *Navigation {
 	if s == ScaleSmall {
 		nodes = 800
 	}
-	return &Navigation{nodes: nodes, degree: 4}
+	return &Navigation{nodes: nodes}
 }
 
 // Name implements Workload.
@@ -35,42 +37,34 @@ func (w *Navigation) Name() string { return "Navigation" }
 // Pattern implements Workload.
 func (w *Navigation) Pattern() Pattern { return Bulk }
 
-// Setup implements Workload: build a ring + random chords road network.
+// Setup implements Workload: a ring + random chords road network.
 func (w *Navigation) Setup(env *jni.Env) error {
-	n, deg := w.nodes, w.degree
+	data := seeded("roads", w.nodes, 0x4A71, roadBytes)
+	split := 4 * (w.nodes + 1)
+	var err error
+	if w.offsets, err = newArrayFrom(env, vm.KindInt, data[:split]); err != nil {
+		return err
+	}
+	w.edges, err = newArrayFrom(env, vm.KindInt, data[split:])
+	return err
+}
+
+// roadBytes builds an n-node network in CSR form: the n+1 offsets followed
+// by the flattened (dst, weight) edge pairs, navDegree per node.
+func roadBytes(n int, seed uint32) []byte {
 	offsets := make([]int32, n+1)
-	edges := make([]int32, 0, n*deg*2)
-	rng := xorshift32(0x4A71)
+	edges := make([]int32, 0, n*navDegree*2)
+	rng := xorshift32(seed)
 	for v := 0; v < n; v++ {
 		offsets[v] = int32(len(edges) / 2)
 		// Ring edges keep the graph connected.
 		edges = append(edges, int32((v+1)%n), int32(rng.next()%20+1))
-		for d := 1; d < deg; d++ {
+		for d := 1; d < navDegree; d++ {
 			edges = append(edges, int32(rng.next()%uint32(n)), int32(rng.next()%100+1))
 		}
 	}
 	offsets[n] = int32(len(edges) / 2)
-
-	offArr, err := env.NewArray(vm.KindInt, len(offsets))
-	if err != nil {
-		return err
-	}
-	for i, v := range offsets {
-		if err := offArr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
-	}
-	edgeArr, err := env.NewArray(vm.KindInt, len(edges))
-	if err != nil {
-		return err
-	}
-	for i, v := range edges {
-		if err := edgeArr.SetElem(i, uint64(uint32(v))); err != nil {
-			return err
-		}
-	}
-	w.offsets, w.edges = offArr, edgeArr
-	return nil
+	return intBytes(append(offsets, edges...))
 }
 
 // Run implements Workload: Dijkstra with a binary heap.
@@ -340,13 +334,25 @@ func (w *StructureFromMotion) Name() string { return "Structure from Motion" }
 func (w *StructureFromMotion) Pattern() Pattern { return Bulk }
 
 // Setup implements Workload: view B is view A shifted by (7, -3) with
-// noisy descriptors. Each feature is (x, y, desc0..desc5).
+// noisy descriptors.
 func (w *StructureFromMotion) Setup(env *jni.Env) error {
+	data := seeded("views", w.features, 0x5F0B, viewBytes)
+	half := len(data) / 2
+	var err error
+	if w.viewA, err = newArrayFrom(env, vm.KindInt, data[:half]); err != nil {
+		return err
+	}
+	w.viewB, err = newArrayFrom(env, vm.KindInt, data[half:])
+	return err
+}
+
+// viewBytes builds n features per view, view A's followed by view B's. Each
+// feature is (x, y, desc0..desc5).
+func viewBytes(n int, seed uint32) []byte {
 	const stride = 8
-	n := w.features
 	a := make([]int32, n*stride)
 	b := make([]int32, n*stride)
-	rng := xorshift32(0x5F0B)
+	rng := xorshift32(seed)
 	for i := 0; i < n; i++ {
 		x, y := int32(rng.next()%2000), int32(rng.next()%2000)
 		a[i*stride], a[i*stride+1] = x, y
@@ -357,24 +363,7 @@ func (w *StructureFromMotion) Setup(env *jni.Env) error {
 			b[i*stride+d] = v + int32(rng.next()%3) - 1 // descriptor noise
 		}
 	}
-	mk := func(data []int32) (*vm.Object, error) {
-		arr, err := env.NewArray(vm.KindInt, len(data))
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range data {
-			if err := arr.SetElem(i, uint64(uint32(v))); err != nil {
-				return nil, err
-			}
-		}
-		return arr, nil
-	}
-	var err error
-	if w.viewA, err = mk(a); err != nil {
-		return err
-	}
-	w.viewB, err = mk(b)
-	return err
+	return intBytes(append(a, b...))
 }
 
 // Run implements Workload: nearest-descriptor matching via bucket hashing,

@@ -33,17 +33,20 @@ func (w *HTML5Browser) Name() string { return "HTML5 Browser" }
 // Pattern implements Workload.
 func (w *HTML5Browser) Pattern() Pattern { return Bulk }
 
-// Setup implements Workload: generate nested markup.
+// Setup implements Workload: nested markup.
 func (w *HTML5Browser) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	arr, err := newArrayFrom(env, vm.KindByte, seeded("markup", w.size, 0x11735, markupBytes))
+	w.doc = arr
+	return err
+}
+
+// markupBytes generates size bytes of randomly nested tags, zero-padded.
+func markupBytes(size int, seed uint32) []byte {
 	tags := []string{"div", "span", "p", "ul", "li", "a", "h1", "table"}
-	data := make([]byte, 0, w.size)
-	rng := xorshift32(0x11735)
+	data := make([]byte, 0, size)
+	rng := xorshift32(seed)
 	var stack []string
-	for len(data) < w.size-64 {
+	for len(data) < size-64 {
 		if len(stack) > 0 && rng.next()%3 == 0 {
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -65,14 +68,9 @@ func (w *HTML5Browser) Setup(env *jni.Env) error {
 		data = append(data, top...)
 		data = append(data, '>')
 	}
-	data = data[:min(len(data), w.size)]
-	padded := make([]byte, w.size)
+	padded := make([]byte, size)
 	copy(padded, data)
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.doc = arr
-	return nil
+	return padded
 }
 
 // Run implements Workload: a simple HTML tokenizer.
@@ -137,31 +135,35 @@ func (w *Clang) Name() string { return "Clang" }
 // Pattern implements Workload.
 func (w *Clang) Pattern() Pattern { return Intensive }
 
-// Setup implements Workload: synthesize function definitions.
+// Setup implements Workload: synthesized function definitions.
 func (w *Clang) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
-	data := make([]byte, 0, w.size)
-	rng := xorshift32(0xC1A46)
+	arr, err := newArrayFrom(env, vm.KindByte, seeded("source", w.size, 0xC1A46, sourceBytes))
+	w.src = arr
+	return err
+}
+
+// sourceBytes generates size bytes of C-like functions, space-padded.
+func sourceBytes(size int, seed uint32) []byte {
+	data := make([]byte, 0, size)
+	rng := xorshift32(seed)
 	fn := 0
-	for len(data) < w.size-128 {
+	for len(data) < size-128 {
 		stmt := fmt.Sprintf("int f%d(int x){int y=x*%d;if(y>%d){y-=%d;}return y+f%d(x-1);}\n",
 			fn, rng.next()%97+1, rng.next()%1000, rng.next()%50, fn/2)
 		data = append(data, stmt...)
 		fn++
 	}
-	padded := make([]byte, w.size)
+	return spacePadded(data, size)
+}
+
+// spacePadded copies data into size bytes, filling the rest with spaces.
+func spacePadded(data []byte, size int) []byte {
+	padded := make([]byte, size)
 	n := copy(padded, data)
-	for i := n; i < w.size; i++ {
+	for i := n; i < size; i++ {
 		padded[i] = ' '
 	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.src = arr
-	return nil
+	return padded
 }
 
 // Run implements Workload: per-byte lexing through the raw pointer.
@@ -248,30 +250,24 @@ func (w *TextProcessing) Pattern() Pattern { return Intensive }
 
 // Setup implements Workload.
 func (w *TextProcessing) Setup(env *jni.Env) error {
-	arr, err := env.NewArray(vm.KindByte, w.size)
-	if err != nil {
-		return err
-	}
+	arr, err := newArrayFrom(env, vm.KindByte, seeded("prose", w.size, 0x7E47, proseBytes))
+	w.text = arr
+	return err
+}
+
+// proseBytes generates size bytes of words and sentences, space-padded.
+func proseBytes(size int, seed uint32) []byte {
 	words := []string{"memory", "tag", "native", "heap", "pointer", "java", "android", "check"}
-	data := make([]byte, 0, w.size)
-	rng := xorshift32(0x7E47)
-	for len(data) < w.size-32 {
+	data := make([]byte, 0, size)
+	rng := xorshift32(seed)
+	for len(data) < size-32 {
 		data = append(data, words[rng.next()%uint32(len(words))]...)
 		if rng.next()%9 == 0 {
 			data = append(data, '.')
 		}
 		data = append(data, ' ')
 	}
-	padded := make([]byte, w.size)
-	n := copy(padded, data)
-	for i := n; i < w.size; i++ {
-		padded[i] = ' '
-	}
-	if err := env.SetArrayRegion(vm.KindByte, arr, 0, w.size, padded); err != nil {
-		return err
-	}
-	w.text = arr
-	return nil
+	return spacePadded(data, size)
 }
 
 // Run implements Workload: per-character scan with a rolling word hash.
@@ -316,13 +312,4 @@ func (w *TextProcessing) Verify() error {
 		return fmt.Errorf("Text Processing: implausible stats (words=%d sentences=%d)", w.words, w.sentences)
 	}
 	return nil
-}
-
-// min returns the smaller int (Go 1.21 builtin exists but keep explicit for
-// clarity with older toolchains in mind).
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

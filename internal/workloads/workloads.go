@@ -50,8 +50,10 @@ type Workload interface {
 	Name() string
 	// Pattern reports the JNI access pattern.
 	Pattern() Pattern
-	// Setup allocates the workload's Java objects via env. It is called
-	// once, outside the timed region.
+	// Setup allocates the workload's Java objects via env and copies its
+	// seeded input into them. It runs outside the timed region: once per
+	// benchmark run, and on every served request. The input bytes
+	// themselves are built once per process (see seeded).
 	Setup(env *jni.Env) error
 	// Run executes one iteration as a native method body. It is invoked
 	// inside a JNI trampoline by the driver.
