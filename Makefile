@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake vet fmt lint lint-repo check bench bench-pass bench-snapshot bench-smoke serve-smoke redteam-smoke temporal-differential
+.PHONY: build test race flake vet fmt lint lint-repo check bench bench-pass bench-snapshot bench-smoke serve-smoke redteam-smoke temporal-differential servebench-check
 
 build:
 	$(GO) build ./...
@@ -111,6 +111,13 @@ temporal-differential:
 redteam-smoke:
 	GO="$(GO)" sh ./scripts/redteam_smoke.sh
 
+# servebench is its own module (replace mte4jni => ../) and reads this
+# module's APIs, so a change here can break its build; vet and test it
+# against this tree. GOWORK=off keeps it on its own go.mod. Its tests chdir
+# into temporary directories, so nothing is written into the tree (~30 s).
+servebench-check:
+	cd servebench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
+
 # Extended tier-1 gate (see ROADMAP.md).
-check: fmt vet lint-repo race flake lint temporal-differential bench-smoke serve-smoke redteam-smoke
+check: fmt vet lint-repo race flake lint temporal-differential bench-smoke serve-smoke redteam-smoke servebench-check
 	@echo "check: ok"

@@ -15,17 +15,18 @@ package cpu
 //
 //  1. A TLB is owned by the single goroutine driving its Context. No other
 //     goroutine may touch it, so hits take no locks and no atomics.
-//  2. mem.Space.Map publishes the new mapping snapshot *before* bumping the
-//     space's epoch counter (both atomic). The mem fast path reads the epoch
-//     first and flushes the TLB whenever it differs from TLB.Epoch, then — on
-//     a miss — consults the snapshot. A thread that observes the new epoch
-//     therefore always re-resolves against a snapshot at least as new.
-//  3. Mappings are never unmapped or moved, so a cached entry can never
-//     describe memory that no longer exists; epoch invalidation exists so the
-//     contract stays correct if unmapping is ever added, and keeps the
-//     staleness window for *new* mappings bounded at one epoch check per
-//     access (a stale TLB can only miss, never hit wrongly — a miss falls
-//     through to the snapshot, which Map updates atomically).
+//  2. mem.Space.Map and Unmap publish the new mapping snapshot *before*
+//     bumping the space's epoch counter (both atomic). The mem fast path
+//     reads the epoch first and flushes the TLB whenever it differs from
+//     TLB.Epoch, then — on a miss — consults the snapshot. A thread that
+//     observes the new epoch therefore always re-resolves against a snapshot
+//     at least as new.
+//  3. Mappings never move. After a Map a stale TLB can only miss, never hit
+//     wrongly — a miss falls through to the snapshot, which Map updates
+//     atomically. After an Unmap a stale entry could still hit the removed
+//     mapping until the thread's next epoch check, so mem.Space.Unmap
+//     requires quiescence: no thread may access the mapping while it is
+//     unmapped.
 //
 // Entries are fully associative with round-robin replacement: TLBSize is
 // small enough that probing every entry is cheaper than any bookkeeping.
@@ -45,16 +46,6 @@ type TLBEntry struct {
 	Base, End uint64
 	// Ref is the *mem.Mapping this entry translates to.
 	Ref any
-	// Aux carries one extra translation-scoped pointer alongside the
-	// mapping — package mem caches the mapping's resolved tag state here
-	// (the materialized tag-page directory, the tag table while the lazy
-	// directory is still nil, or nil for untagged mappings), saving the
-	// dependent loads per checked access. Anything cached in Aux must be
-	// stable under Ref's invalidation contract: it is only dropped by an
-	// epoch flush, so every transition of the cached state (directory
-	// materialization) must bump the space epoch. Per-page tag pointers
-	// must NOT go here — SetTagRange swaps them without an epoch bump.
-	Aux any
 }
 
 // TLB is a per-thread translation cache. The zero value is an empty TLB,
@@ -76,7 +67,7 @@ type TLB struct {
 // Lookup returns the cached entry for the mapping containing
 // [addr, addr+size), or nil on a miss. A hit guarantees containment of the
 // whole access, so callers need no further bounds check, and the returned
-// entry stays valid until the next Insert or Flush — callers read Ref/Aux
+// entry stays valid until the next Insert or Flush — callers read Ref
 // immediately, they do not retain the pointer. addr itself must lie strictly
 // inside the mapping (addr < End) even for size 0, mirroring how resolving
 // the one-past-the-end address of a mapping faults on hardware.
@@ -94,13 +85,11 @@ func (t *TLB) Lookup(addr uint64, size int) *TLBEntry {
 	return nil
 }
 
-// Insert caches a translation, evicting round-robin. aux rides along under
-// the Aux contract documented on TLBEntry (immutable per mapping; nil is
-// fine).
+// Insert caches a translation, evicting round-robin.
 //
 //mte4jni:fastpath
-func (t *TLB) Insert(base, end uint64, ref, aux any) {
-	t.Entries[t.next] = TLBEntry{Base: base, End: end, Ref: ref, Aux: aux}
+func (t *TLB) Insert(base, end uint64, ref any) {
+	t.Entries[t.next] = TLBEntry{Base: base, End: end, Ref: ref}
 	t.next++
 	if t.next == TLBSize {
 		t.next = 0

@@ -12,10 +12,10 @@ func TestTLBLookupInsertFlush(t *testing.T) {
 	if tlb.Lookup(100, 8) != nil {
 		t.Fatal("empty TLB hit")
 	}
-	ref, aux := new(int), new(int)
-	tlb.Insert(100, 200, ref, aux)
-	if got := tlb.Lookup(100, 8); got == nil || got.Ref != any(ref) || got.Aux != any(aux) {
-		t.Fatal("inserted entry not found with ref and aux intact")
+	ref := new(int)
+	tlb.Insert(100, 200, ref)
+	if got := tlb.Lookup(100, 8); got == nil || got.Ref != any(ref) {
+		t.Fatal("inserted entry not found with ref intact")
 	}
 	if got := tlb.Lookup(192, 8); got == nil || got.Ref != any(ref) {
 		t.Fatal("last full access inside entry missed")
@@ -47,7 +47,7 @@ func TestTLBRoundRobinEviction(t *testing.T) {
 	refs := make([]*int, TLBSize+1)
 	for i := range refs {
 		refs[i] = new(int)
-		tlb.Insert(uint64(i*1000), uint64(i*1000+100), refs[i], nil)
+		tlb.Insert(uint64(i*1000), uint64(i*1000+100), refs[i])
 	}
 	// Entry 0 was evicted by the TLBSize'th insert; the rest survive.
 	if tlb.Lookup(0, 8) != nil {

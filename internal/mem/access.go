@@ -71,40 +71,24 @@ func tagMismatchIndex(span []uint8, want uint8) int {
 
 // lookup resolves the mapping fully containing [addr, addr+size) through the
 // thread's TLB, falling back to the snapshot binary search and refilling the
-// TLB on a miss. It returns (nil, nil) when no mapping contains the whole
-// access. The second result is the mapping's tag state, cached in the TLB
-// entry's Aux slot so a hit resolves both pointers in one probe: the
-// resolved *tagDir once the directory is materialized (the fast path pays a
-// single pointer hop per tag check), the *tagTable while the lazy directory
-// is still nil, or nil for untagged mappings. Caching the directory is
-// sound because its slices are immutable after construction and the one
-// nil→non-nil transition bumps the space epoch (materialize), which flushes
-// every TLB exactly like any other mapping change. See the Space doc
-// comment for the epoch contract.
+// TLB on a miss. It returns nil when no mapping contains the whole access.
+// See the Space doc comment for the epoch contract.
 //
 //mte4jni:fastpath
-func (s *Space) lookup(ctx *cpu.Context, addr mte.Addr, size int) (*Mapping, any) {
+func (s *Space) lookup(ctx *cpu.Context, addr mte.Addr, size int) *Mapping {
 	tlb := ctx.TLB()
 	if epoch := s.epoch.Load(); epoch != tlb.Epoch {
 		tlb.Flush(epoch)
 	}
 	if e := tlb.Lookup(uint64(addr), size); e != nil {
-		return e.Ref.(*Mapping), e.Aux
+		return e.Ref.(*Mapping)
 	}
 	m, ok := s.Resolve(addr)
 	if !ok || !m.contains(addr, size) {
-		return nil, nil
+		return nil
 	}
-	var aux any
-	if m.tags != nil {
-		if d := m.tags.directory(); d != nil {
-			aux = d
-		} else {
-			aux = m.tags
-		}
-	}
-	tlb.Insert(uint64(m.base), uint64(m.End()), m, aux)
-	return m, aux
+	tlb.Insert(uint64(m.base), uint64(m.End()), m)
+	return m
 }
 
 // checkAccess validates one access and returns (mapping, fault). A non-nil
@@ -114,7 +98,7 @@ func (s *Space) lookup(ctx *cpu.Context, addr mte.Addr, size int) (*Mapping, any
 //mte4jni:fastpath
 func (s *Space) checkAccess(ctx *cpu.Context, p mte.Ptr, size int, kind mte.AccessKind) (*Mapping, *mte.Fault) {
 	addr := p.Addr()
-	m, aux := s.lookup(ctx, addr, size)
+	m := s.lookup(ctx, addr, size)
 	if m == nil {
 		return nil, s.newFault(ctx, mte.FaultUnmapped, kind, p, size, p.Tag(), 0)
 	}
@@ -125,17 +109,10 @@ func (s *Space) checkAccess(ctx *cpu.Context, p mte.Ptr, size int, kind mte.Acce
 	if m.prot&need == 0 {
 		return nil, s.newFault(ctx, mte.FaultProtection, kind, p, size, p.Tag(), 0)
 	}
-	if aux == nil || !ctx.Checking() {
+	// The thread's mode is tested first, so the none and guarded schemes
+	// never load the mapping's tag directory.
+	if !ctx.Checking() || !m.Tagged() {
 		return m, nil
-	}
-	// The steady state is a materialized directory cached straight in the
-	// TLB (one predictable type check, no tagTable hop). The *tagTable case
-	// covers the window before the lazy directory exists: re-resolving it
-	// here keeps a racing first retag visible, and the materialize epoch
-	// bump retires the stale Aux at the next lookup anyway.
-	d, ok := aux.(*tagDir)
-	if !ok {
-		d = aux.(*tagTable).directory()
 	}
 	want := uint8(p.Tag())
 	gi := m.granuleIndex(addr)
@@ -151,40 +128,24 @@ func (s *Space) checkAccess(ctx *cpu.Context, p mte.Ptr, size int, kind mte.Acce
 			// granule they start in, as the reference engine always has.
 			return m, nil
 		}
-		if d == nil {
-			// Never-tagged mapping: every granule reads tag 0.
-			if want != 0 {
-				return s.tagFault(ctx, m, p, size, kind, 0)
-			}
-			return m, nil
-		}
-		if got := d.page(gi >> tagPageShift)[gi&tagPageMask]; got != want {
+		if got := m.tpage(gi >> tagPageShift)[gi&tagPageMask]; got != want {
 			return s.tagFault(ctx, m, p, size, kind, mte.Tag(got))
-		}
-		return m, nil
-	}
-	if d == nil {
-		// Never-tagged mapping, span case: all tags are 0, so a non-zero
-		// pointer tag mismatches at the very first granule — the same
-		// granule and memory tag the reference engine reports.
-		if want != 0 {
-			return s.tagFault(ctx, m, p, size, kind, 0)
 		}
 		return m, nil
 	}
 	// Span path: per tag page, SWAR compare of the covered granule tags —
 	// same word sweep as before, segmented at page boundaries, with one new
 	// fast-out: a directory entry that *is* the canonical page of the wanted
-	// tag matches 256 granules without reading a tag byte. Mismatch order is
-	// preserved (pages ascend, the sweep finds the first bad lane), so the
-	// faulting granule is identical to the reference engine's. size >= 1
+	// tag matches a whole page without reading a tag byte. Mismatch order
+	// is preserved (pages ascend, the sweep finds the first bad lane), so
+	// the faulting granule is identical to the reference engine's. size >= 1
 	// here (a zero-size span cannot cross a granule boundary), so
 	// addr+size-1 is the last touched byte.
 	lastGi := m.granuleIndex(addr + mte.Addr(size) - 1)
 	match := canonical(want)
 	firstPage, lastPage := gi>>tagPageShift, lastGi>>tagPageShift
 	for pi := firstPage; pi <= lastPage; pi++ {
-		pg := d.page(pi)
+		pg := m.tpage(pi)
 		if pg == match {
 			continue
 		}

@@ -16,8 +16,8 @@ import (
 // is written. The directory starts with every entry pointing at one shared,
 // never-written zero page, and the first store to a page (checked,
 // unguarded or raw) publishes a fresh zeroed page in its place. Mapping a
-// session allocates the directory — one pointer per 16 KiB — and nothing
-// else.
+// session allocates its directories — one pointer per 16 KiB, plus one
+// more for the tag plane of a ProtMTE mapping — and nothing else.
 //
 // # Concurrency
 //
@@ -66,13 +66,19 @@ type dataPage [dataPageSize]byte
 // copies out of a written page (measured, cause not isolated).
 var zeroPage = new(dataPage)
 
-// newDataDir builds the directory for a mapping of size bytes, every entry
-// on the shared zero page. The last page may extend past the mapping's end
-// (mappings are 4 KiB-rounded); its out-of-range bytes are never addressed.
-func newDataDir(size uint64) []atomic.Pointer[dataPage] {
-	d := make([]atomic.Pointer[dataPage], (size+dataPageSize-1)>>dataPageShift)
-	for i := range d {
-		d[i].Store(zeroPage)
+// newDir builds a page directory of n >= 1 entries, every one on the shared
+// page pg. Map builds both of a mapping's directories with it: the data
+// directory on zeroPage and, for ProtMTE mappings, the tag directory on the
+// canonical zero tag page (tagtable.go), so one page index addresses both
+// planes. The directory is filled with doubling copies rather than one
+// atomic store per entry; that is sound because nothing can read it before
+// Map publishes the mapping in the snapshot, an atomic store that orders
+// these writes before every reader's load.
+func newDir[P any](n int, pg *P) []atomic.Pointer[P] {
+	d := make([]atomic.Pointer[P], n)
+	d[0].Store(pg)
+	for filled := 1; filled < n; filled *= 2 {
+		copy(d[filled:], d[:filled])
 	}
 	return d
 }

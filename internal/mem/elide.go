@@ -30,7 +30,7 @@ import (
 //mte4jni:fastpath
 func (s *Space) accessUnguarded(ctx *cpu.Context, p mte.Ptr, size int, kind mte.AccessKind) (*Mapping, *mte.Fault) {
 	addr := p.Addr()
-	m, _ := s.lookup(ctx, addr, size)
+	m := s.lookup(ctx, addr, size)
 	if m == nil {
 		return nil, s.newFault(ctx, mte.FaultUnmapped, kind, p, size, p.Tag(), 0)
 	}

@@ -81,10 +81,11 @@ type Mapping struct {
 	// materialized pages, so Unmap unwinds the space's gauge in O(1).
 	pages    []atomic.Pointer[dataPage]
 	resident atomic.Int64
-	// tags is the mapping's hierarchical tag table when the mapping is
-	// ProtMTE; nil otherwise. See tagtable.go for the two-level layout
-	// (directory of canonical uniform pages and materialized private
-	// pages) and its concurrency rules.
+	// tagPages is the mapping's tag directory when the mapping is ProtMTE,
+	// nil otherwise: one atomic page pointer per 16 KiB, indexed by the
+	// same page number as pages, each on a canonical uniform page or a
+	// materialized private one. Only tagtable.go names it; see that file
+	// for the two-level layout and its concurrency rules.
 	//
 	// Tag bytes inside a page are plain bytes, not atomics, mirroring how
 	// cheap hardware tag operations are relative to data accesses. This is
@@ -96,7 +97,7 @@ type Mapping struct {
 	// never read tags at all. Directory entries are atomic pointers on top
 	// of that discipline, so page materialization publishes only fully
 	// built pages.
-	tags *tagTable
+	tagPages []atomic.Pointer[tagPage]
 
 	// Concurrent-scan synchronization. On hardware a GC thread reading a
 	// word another thread is storing to is an ordinary (if unordered) pair
@@ -156,9 +157,6 @@ func (m *Mapping) Prot() Prot { return m.prot }
 // Name returns the human-readable label given at Map time.
 func (m *Mapping) Name() string { return m.name }
 
-// Tagged reports whether the mapping carries MTE tag storage.
-func (m *Mapping) Tagged() bool { return m.tags != nil }
-
 // contains reports whether [addr, addr+size) lies fully inside the mapping.
 func (m *Mapping) contains(addr mte.Addr, size int) bool {
 	if addr < m.base {
@@ -177,11 +175,11 @@ func (m *Mapping) granuleIndex(addr mte.Addr) int {
 // reports tag 0 for untagged mappings, which matches hardware behaviour for
 // non-PROT_MTE pages (they behave as tag-0 memory).
 func (m *Mapping) TagAt(addr mte.Addr) mte.Tag {
-	if m.tags == nil {
+	if !m.Tagged() {
 		return 0
 	}
 	gi := m.granuleIndex(addr)
-	return mte.Tag(m.tags.page(gi >> tagPageShift)[gi&tagPageMask])
+	return mte.Tag(m.tpage(gi >> tagPageShift)[gi&tagPageMask])
 }
 
 // SetTagRange applies tag to every granule overlapping [begin, end),
@@ -192,7 +190,7 @@ func (m *Mapping) TagAt(addr mte.Addr) mte.Tag {
 //
 // Tagging goes through the hierarchical tag table (tagtable.go): every tag
 // page fully covered by the range becomes a single directory swap to the
-// canonical uniform page of the tag — O(1) per 4 KiB regardless of span
+// canonical uniform page of the tag — O(1) per 16 KiB regardless of span
 // length, no byte traffic, and releasing any private page the entry held —
 // while the partial edge pages are word-filled (eight granule tags per
 // store, the software analogue of the st2g/dc gva fill loops MTE-aware
@@ -201,7 +199,7 @@ func (m *Mapping) TagAt(addr mte.Addr) mte.Tag {
 // iteration, so the edge fill stays byte-loop-free; it replaces PR 2's
 // doubling-copy fill, which touched every tag byte of large spans.
 func (m *Mapping) SetTagRange(begin, end mte.Addr, tag mte.Tag) (int, error) {
-	if m.tags == nil {
+	if !m.Tagged() {
 		return 0, fmt.Errorf("mem: SetTagRange on non-MTE mapping %q", m.name)
 	}
 	gb, ge := mte.GranuleRange(begin, end)
@@ -209,7 +207,7 @@ func (m *Mapping) SetTagRange(begin, end mte.Addr, tag mte.Tag) (int, error) {
 		return 0, fmt.Errorf("mem: SetTagRange [%v,%v) outside mapping %q [%v,%v)", begin, end, m.name, m.base, m.End())
 	}
 	lo, hi := m.granuleIndex(gb), m.granuleIndex(ge)
-	m.tags.setRange(lo, hi, uint8(tag&0xF))
+	m.setTags(lo, hi, uint8(tag&0xF))
 	return hi - lo, nil
 }
 
@@ -292,18 +290,19 @@ func (m *Mapping) VisitRaw(addr mte.Addr, n int, fn func(window []byte)) error {
 // # Epoch / TLB invalidation contract
 //
 // Per-thread TLBs cache (base, end, *Mapping) triples from the snapshot.
-// Map publishes the new snapshot first and only then bumps the epoch
+// Map and Unmap publish the new snapshot first and only then bump the epoch
 // counter; the access fast path loads the epoch before probing the TLB and
-// flushes it on any change. Because mappings are immutable and never
-// removed, a stale TLB entry can only cause a miss (which re-reads the
-// snapshot), never a wrong hit — the epoch keeps the contract explicit and
-// future-proofs it against unmapping. TestTLBInvalidationStress exercises
-// this under the race detector.
+// flushes it on any change. After a Map a stale TLB entry can only cause a
+// miss (which re-reads the snapshot), never a wrong hit. After an Unmap a
+// stale entry could hit the removed mapping, so Unmap requires quiescence
+// (see Unmap). TestTLBInvalidationStress exercises the Map side under the
+// race detector.
 type Space struct {
 	mu       sync.Mutex
 	nextBase mte.Addr
 	snapshot atomic.Pointer[[]*Mapping]
-	// epoch counts Map calls; bumped after the snapshot is published.
+	// epoch counts snapshot changes (Map, Unmap) and tag reseeds
+	// (ResetTags); bumped after the snapshot is published.
 	epoch atomic.Uint64
 
 	// Paged data-plane accounting (datapages.go): pages materialized by a
@@ -313,18 +312,14 @@ type Space struct {
 	dataDirBytes      atomic.Int64
 	dataMappedBytes   atomic.Int64
 
-	// Hierarchical tag-storage accounting and page recycling (tagtable.go).
-	// tagFree is the freelist of displaced/released private tag pages;
-	// the atomics are the counters surfaced by TagStats.
-	tagFreeMu           sync.Mutex
-	tagFree             []*tagPage
-	tagMaterialized     atomic.Uint64
-	tagUniform          atomic.Uint64
-	tagZeroDedup        atomic.Uint64
-	tagDirsMaterialized atomic.Uint64
-	tagResidentPages    atomic.Int64
-	tagDirBytes         atomic.Int64
-	tagFlatBytes        atomic.Int64
+	// Hierarchical tag-storage accounting (tagtable.go), surfaced by
+	// TagStats.
+	tagMaterialized  atomic.Uint64
+	tagUniform       atomic.Uint64
+	tagZeroDedup     atomic.Uint64
+	tagResidentPages atomic.Int64
+	tagDirBytes      atomic.Int64
+	tagFlatBytes     atomic.Int64
 }
 
 // NewSpace creates an empty address space.
@@ -335,8 +330,9 @@ func NewSpace() *Space {
 	return s
 }
 
-// Epoch returns the current mapping epoch. It changes exactly when Map
-// publishes a new mapping; TLBs stamped with an older epoch must flush.
+// Epoch returns the current mapping epoch. It changes when Map or Unmap
+// publishes a new snapshot and when ResetTags reseeds a mapping; TLBs
+// stamped with an older epoch must flush.
 func (s *Space) Epoch() uint64 { return s.epoch.Load() }
 
 // Map creates a new mapping of size bytes (rounded up to the page size) with
@@ -350,24 +346,23 @@ func (s *Space) Map(name string, size uint64, prot Prot) (*Mapping, error) {
 	rounded := (size + pageSize - 1) &^ (pageSize - 1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	npages := int((rounded + dataPageSize - 1) >> dataPageShift)
 	m := &Mapping{
 		base:  s.nextBase,
 		size:  rounded,
 		prot:  prot,
 		name:  name,
 		space: s,
-		// Lazy paged data plane: the directory is the only allocation, and
-		// every entry starts on the shared zero page.
-		pages: newDataDir(rounded),
+		// Paged data plane: the directory is the only allocation, and every
+		// entry starts on the shared zero page.
+		pages: newDir(npages, zeroPage),
 	}
 	s.dataMappedBytes.Add(int64(rounded))
-	s.dataDirBytes.Add(int64(len(m.pages)) * dataDirEntryBytes)
+	s.dataDirBytes.Add(int64(npages) * dataDirEntryBytes)
 	if prot&ProtMTE != 0 {
-		// Lazy hierarchical tag storage: every page starts deduplicated
-		// against the shared zero page, and even the page-pointer directory
-		// is deferred until the first tag touch — a mapped-but-untagged
-		// region costs zero tag bytes, directory included.
-		m.tags = newTagTable(s, int(rounded/mte.GranuleSize))
+		// Hierarchical tag storage: a directory of the same length, every
+		// entry on the canonical zero page (tagtable.go).
+		m.mapTags()
 	}
 	s.nextBase += mte.Addr(rounded + guardGap)
 
@@ -415,33 +410,28 @@ func (s *Space) Unmap(m *Mapping) error {
 	s.epoch.Add(1)
 	// Release the backing storage. contains() now fails for every access, so
 	// retained handles degrade to errors rather than touching freed state.
-	// Data pages become garbage (no freelist, see datapages.go); materialized
-	// tag pages go back to the space freelist.
-	if m.tags != nil {
-		m.tags.release()
-	}
+	// Data and tag pages become garbage (no freelist, see datapages.go).
+	m.releaseTags()
 	m.releasePages()
 	m.size = 0
-	m.tags = nil
 	return nil
 }
 
 // ResetTags repaints every granule of m back to tag 0 and bumps the space
 // epoch — the tag-reseed primitive. Painting zero collapses the mapping's
-// materialized tag pages back onto the canonical zero page (or leaves a
-// never-materialized directory untouched), so an attacker's learned tags go
-// stale wholesale; the epoch bump flushes per-thread TLBs and, more to the
-// point, invalidates any elision mask primed against the pre-reseed epoch
-// (jni.Env.ArmElision refuses a stale prime). Like retagging in general the
-// caller must hold the mapping quiescent: the pool reseeds only sessions it
-// exclusively owns, between leases.
+// materialized tag pages back onto the canonical zero page, so an
+// attacker's learned tags go stale wholesale; the epoch bump flushes
+// per-thread TLBs and, more to the point, invalidates any elision mask
+// primed against the pre-reseed epoch (jni.Env.ArmElision refuses a stale
+// prime). Like retagging in general the caller must hold the mapping
+// quiescent: the pool reseeds only sessions it exclusively owns, between
+// leases.
 func (s *Space) ResetTags(m *Mapping) {
-	if m.tags != nil {
-		m.tags.setRange(0, m.tags.granules, 0)
+	if m.Tagged() {
+		m.setTags(0, int(m.size>>mte.GranuleShift), 0)
 	}
 	// Snapshot is unchanged, so a flushed TLB re-resolves identical mapping
-	// state; the bump exists to invalidate epoch-stamped caches (TLB Aux,
-	// primed elision bindings).
+	// state; the bump exists to invalidate primed elision bindings.
 	s.epoch.Add(1)
 }
 

@@ -20,55 +20,36 @@ func mapTagged(t *testing.T, n uint64) (*Space, *Mapping) {
 	return s, m
 }
 
-func TestTagTableFreshMappingIsLazy(t *testing.T) {
+// Map builds the tag directory eagerly, as it builds the data directory:
+// one 8-byte entry per tag page, every entry shared with the canonical zero
+// page, and no page materialized.
+func TestTagTableFreshMappingAccounting(t *testing.T) {
 	s, m := mapTagged(t, 16*uint64(tagPageSpan)) // 16 tag pages
 	st := s.TagStats()
-	if st.PagesResident != 0 || st.PagesMaterialized != 0 {
+	if st.PagesResident != 0 || st.PagesMaterialized != 0 || st.PagesUniform != 0 {
 		t.Fatalf("fresh mapping materialized pages: %+v", st)
 	}
-	// The page-pointer directory is deferred until the first tag touch: a
-	// mapped-but-untagged region pays zero tag footprint, directory
-	// included, and records no dedup hits yet.
-	if st.DirsMaterialized != 0 || st.DirBytes != 0 || st.ZeroDedupHits != 0 {
-		t.Fatalf("fresh mapping paid directory footprint: %+v", st)
+	if st.ZeroDedupHits != 16 {
+		t.Fatalf("ZeroDedupHits = %d, want 16 (one per directory entry)", st.ZeroDedupHits)
 	}
-	if got := s.TagBytesResident(); got != 0 {
-		t.Fatalf("TagBytesResident = %d, want 0 for untagged mapping", got)
+	if want := uint64(16 * tagDirEntryBytes); st.DirBytes != want || st.BytesResident != want {
+		t.Fatalf("DirBytes = %d, BytesResident = %d, want %d/%d", st.DirBytes, st.BytesResident, want, want)
 	}
 	// Flat equivalent: one byte per granule.
 	if want := 16 * uint64(tagPageSpan) / mte.GranuleSize; st.BytesFlatEquiv != want {
 		t.Fatalf("BytesFlatEquiv = %d, want %d", st.BytesFlatEquiv, want)
 	}
-	// Reads through the nil directory see tag 0 everywhere and stay lazy.
 	for a := m.Base(); a < m.End(); a += tagPageSpan {
 		if tag := m.TagAt(a); tag != 0 {
 			t.Fatalf("fresh granule at %v tagged %v", a, tag)
 		}
 	}
-	// Painting tag 0 over a virgin mapping is a no-op that must not
-	// materialize the directory either.
-	if _, err := m.ZeroTagRange(m.Base(), m.End()); err != nil {
-		t.Fatalf("ZeroTagRange: %v", err)
+	// An untagged mapping gets no directory at all.
+	if _, err := s.Map("plain", 16*uint64(tagPageSpan), ProtRead|ProtWrite); err != nil {
+		t.Fatalf("Map: %v", err)
 	}
-	if st = s.TagStats(); st.DirsMaterialized != 0 || st.DirBytes != 0 {
-		t.Fatalf("zero paint materialized the directory: %+v", st)
-	}
-	// The first non-zero touch materializes exactly one directory and takes
-	// over the fresh-entry dedup accounting the eager design recorded at map
-	// time: every entry starts shared with the canonical zero page.
-	if _, err := m.SetTagRange(m.Base(), m.Base()+tagPageSpan, 0x5); err != nil {
-		t.Fatalf("SetTagRange: %v", err)
-	}
-	st = s.TagStats()
-	if st.DirsMaterialized != 1 {
-		t.Fatalf("DirsMaterialized = %d, want 1", st.DirsMaterialized)
-	}
-	if st.ZeroDedupHits != 16 {
-		t.Fatalf("ZeroDedupHits = %d, want 16 (one per tag page at materialization)", st.ZeroDedupHits)
-	}
-	// Directory entries plus the one 32-page private-bit word.
-	if want := uint64(16*tagDirEntryBytes + 4); st.DirBytes != want {
-		t.Fatalf("DirBytes = %d, want %d", st.DirBytes, want)
+	if after := s.TagStats(); after.ZeroDedupHits != st.ZeroDedupHits || after.DirBytes != st.DirBytes || after.BytesFlatEquiv != st.BytesFlatEquiv {
+		t.Fatalf("untagged mapping moved the tag accounting: %+v -> %+v", st, after)
 	}
 }
 
@@ -122,7 +103,7 @@ func TestTagTableFullPageBecomesUniform(t *testing.T) {
 func TestTagTableRetagToUniformReleasesPage(t *testing.T) {
 	s, m := mapTagged(t, uint64(tagPageSpan))
 	// Materialize page 0 with a partial paint, then repaint the whole page:
-	// the private page must return to the freelist.
+	// the private page must leave the resident count.
 	if _, err := m.SetTagRange(m.Base(), m.Base()+mte.GranuleSize, 0x3); err != nil {
 		t.Fatalf("partial SetTagRange: %v", err)
 	}
@@ -136,22 +117,18 @@ func TestTagTableRetagToUniformReleasesPage(t *testing.T) {
 	if st.PagesResident != 0 {
 		t.Fatalf("PagesResident = %d after uniform repaint, want 0", st.PagesResident)
 	}
-	if st.FreePages != 1 {
-		t.Fatalf("FreePages = %d, want 1 (released private page)", st.FreePages)
-	}
-	// The next materialization must reuse the freelist page, not allocate.
 	// Re-materialize page 0 itself (now uniform 9) with a one-granule paint:
-	// the recycled page's background must be 9, not stale bytes from its
-	// previous life as the 0x3-painted page.
+	// the new page's background must be 9, not the 0 of a fresh page or
+	// the bytes of the displaced 0x3-painted page.
 	if _, err := m.SetTagRange(m.Base(), m.Base()+mte.GranuleSize, 0x2); err != nil {
 		t.Fatalf("re-materializing SetTagRange: %v", err)
 	}
 	st = s.TagStats()
-	if st.FreePages != 0 || st.PagesResident != 1 {
-		t.Fatalf("freelist reuse: free=%d resident=%d, want 0/1", st.FreePages, st.PagesResident)
+	if st.PagesMaterialized != 2 || st.PagesResident != 1 {
+		t.Fatalf("materialized/resident = %d/%d, want 2/1", st.PagesMaterialized, st.PagesResident)
 	}
 	if got := m.TagAt(m.Base() + mte.GranuleSize); got != 0x9 {
-		t.Fatalf("recycled page background = %v, want previous uniform 9", got)
+		t.Fatalf("re-materialized page background = %v, want previous uniform 9", got)
 	}
 	if got := m.TagAt(m.Base()); got != 0x2 {
 		t.Fatalf("painted granule = %v, want 2", got)
@@ -163,8 +140,8 @@ func TestTagTableZeroRetagCountsDedup(t *testing.T) {
 	if _, err := m.SetTagRange(m.Base(), m.Base()+tagPageSpan, 0x6); err != nil {
 		t.Fatalf("SetTagRange: %v", err)
 	}
-	// Captured after the non-zero retag so the directory-materialization
-	// dedup credit (one per fresh entry) is excluded from the delta.
+	// Captured after Map, so the dedup credit for the fresh entries is
+	// excluded from the delta.
 	before := s.TagStats().ZeroDedupHits
 	if _, err := m.ZeroTagRange(m.Base(), m.Base()+tagPageSpan); err != nil {
 		t.Fatalf("ZeroTagRange: %v", err)
@@ -243,7 +220,7 @@ func TestCanonicalPages(t *testing.T) {
 		}
 	}
 	priv := new(tagPage)
-	if isCanonical(priv) {
-		t.Fatal("private zero page misidentified as canonical")
+	if isCanonical(priv) || isCanonical(nil) {
+		t.Fatal("private zero page or nil misidentified as canonical")
 	}
 }

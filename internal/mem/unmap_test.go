@@ -73,10 +73,11 @@ func TestUnmapReleasesMapping(t *testing.T) {
 	}
 }
 
-// Unmap must return materialized tag pages to the space freelist and drop
-// the resident-byte accounting — pooled VMs unmap and remap heaps on every
-// recycle, so leaked tag pages would be per-lease garbage churn.
-func TestUnmapReturnsTagPagesToFreelist(t *testing.T) {
+// Unmap must drop the mapping's materialized tag pages and its directory
+// from the resident-byte accounting. Pooled VMs unmap their heaps only when
+// a session retires (recycling a clean session calls heap.Reset instead),
+// and a space's gauges must not keep counting storage no mapping owns.
+func TestUnmapReleasesTagPages(t *testing.T) {
 	s := NewSpace()
 	m, err := s.Map("victim", 4*uint64(tagPageSpan), ProtRead|ProtWrite|ProtMTE)
 	if err != nil {
@@ -93,37 +94,19 @@ func TestUnmapReturnsTagPagesToFreelist(t *testing.T) {
 	if before.PagesResident != 3 {
 		t.Fatalf("PagesResident = %d before unmap, want 3", before.PagesResident)
 	}
-	if before.BytesResident == 0 || s.TagBytesResident() != before.BytesResident {
-		t.Fatalf("inconsistent resident accounting: %+v vs %d", before, s.TagBytesResident())
+	if want := uint64(3*tagPageBytes + 4*tagDirEntryBytes); before.BytesResident != want {
+		t.Fatalf("BytesResident = %d before unmap, want %d", before.BytesResident, want)
 	}
 
 	if err := s.Unmap(m); err != nil {
 		t.Fatal(err)
 	}
 	after := s.TagStats()
-	if after.PagesResident != 0 {
-		t.Fatalf("PagesResident = %d after unmap, want 0", after.PagesResident)
+	if after.PagesResident != 0 || after.DirBytes != 0 || after.BytesResident != 0 || after.BytesFlatEquiv != 0 {
+		t.Fatalf("accounting after unmapping the only MTE mapping: %+v, want no resident pages, directory, resident or flat bytes", after)
 	}
-	if after.FreePages != before.FreePages+3 {
-		t.Fatalf("FreePages = %d, want %d (pages recycled, not leaked)", after.FreePages, before.FreePages+3)
-	}
-	if after.BytesResident >= before.BytesResident {
-		t.Fatalf("BytesResident did not drop: %d -> %d", before.BytesResident, after.BytesResident)
-	}
-	if s.TagBytesResident() != 0 {
-		t.Fatalf("TagBytesResident = %d after unmapping the only MTE mapping, want 0", s.TagBytesResident())
-	}
-
-	// A new mapping's materializations draw from the freelist.
-	m2, err := s.Map("fresh", 16*1024, ProtRead|ProtWrite|ProtMTE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m2.SetTagRange(m2.Base(), m2.Base()+mte.GranuleSize, 0xC); err != nil {
-		t.Fatal(err)
-	}
-	reused := s.TagStats()
-	if reused.FreePages != after.FreePages-1 {
-		t.Fatalf("FreePages = %d after re-materialization, want %d", reused.FreePages, after.FreePages-1)
+	// The monotonic counters keep their history.
+	if after.PagesMaterialized != before.PagesMaterialized || after.ZeroDedupHits != before.ZeroDedupHits {
+		t.Fatalf("monotonic counters moved at unmap: %+v -> %+v", before, after)
 	}
 }

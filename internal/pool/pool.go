@@ -390,14 +390,13 @@ func (p *Pool) accumulateTagsLocked(s *Session) {
 	p.retiredTags.PagesMaterialized += st.PagesMaterialized
 	p.retiredTags.PagesUniform += st.PagesUniform
 	p.retiredTags.ZeroDedupHits += st.ZeroDedupHits
-	p.retiredTags.DirsMaterialized += st.DirsMaterialized
 	p.retiredTags.DataPagesMaterialized += st.DataPagesMaterialized
 }
 
 // TagStats aggregates storage accounting across the pool: monotonic
-// counters (tag page and directory materializations, uniform swaps,
-// zero-dedup hits, data page materializations) sum over live *and* departed
-// sessions, while the residency gauges (BytesResident, BytesFlatEquiv,
+// counters (tag page materializations, uniform swaps, zero-dedup hits, data
+// page materializations) sum over live *and* departed sessions, while the
+// residency gauges (BytesResident, BytesFlatEquiv,
 // DataBytesResident, DataBytesMapped, page counts) reflect only sessions
 // currently live — resident against flat-equivalent (tags) or mapped (data)
 // bytes is the pool's real memory footprint against what eager flat storage
@@ -415,16 +414,13 @@ func (p *Pool) TagStats() mem.TagStats {
 		sh.mu.Unlock()
 	}
 	// Per-session reads happen outside the shard locks: Space.TagStats is
-	// atomics plus the space's own freelist lock, safe against the session
-	// running.
+	// atomics only, safe against the session running.
 	for _, s := range sessions {
 		st := s.rt.VM().Space.TagStats()
 		agg.PagesMaterialized += st.PagesMaterialized
 		agg.PagesUniform += st.PagesUniform
 		agg.ZeroDedupHits += st.ZeroDedupHits
-		agg.DirsMaterialized += st.DirsMaterialized
 		agg.PagesResident += st.PagesResident
-		agg.FreePages += st.FreePages
 		agg.DirBytes += st.DirBytes
 		agg.BytesResident += st.BytesResident
 		agg.BytesFlatEquiv += st.BytesFlatEquiv

@@ -111,11 +111,9 @@ type TagTableStats struct {
 	TagPagesMaterialized uint64 `json:"tag_pages_materialized_total"`
 	TagPagesUniform      uint64 `json:"tag_pages_uniform_total"`
 	TagZeroDedupHits     uint64 `json:"tag_zero_dedup_hits_total"`
-	// TagDirsMaterialized counts lazily allocated page-pointer directories
-	// (a mapping whose tags are never touched allocates no directory at
-	// all); TagDirBytes is the directory storage live sessions pay.
-	TagDirsMaterialized uint64 `json:"tag_dirs_materialized_total"`
-	TagDirBytes         uint64 `json:"tag_dir_bytes"`
+	// TagDirBytes is the directory storage live sessions pay: one 8-byte
+	// entry per 16 KiB of each MTE mapping, built at map time.
+	TagDirBytes uint64 `json:"tag_dir_bytes"`
 	// TagBytesResident is the tag storage live sessions actually pay
 	// (materialized pages + directories); TagBytesFlatEquiv is what the
 	// pre-hierarchical flat array would pay for the same mappings. Their

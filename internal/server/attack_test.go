@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mte4jni"
 	"mte4jni/internal/pool"
 )
 
@@ -12,7 +13,7 @@ import (
 // adversarial telemetry: probes always count, detections only under the
 // MTE schemes.
 func TestAttackProbeEndpoint(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 
 	cases := []struct {
 		scheme   string
@@ -71,14 +72,23 @@ func TestAttackProbeEndpoint(t *testing.T) {
 	if m.FaultsTotal != 2 || m.Pool.Quarantined != 2 {
 		t.Fatalf("faults=%d quarantined=%d, want 2/2", m.FaultsTotal, m.Pool.Quarantined)
 	}
-	// The MTE sessions tagged their target arrays, so the lazily allocated
-	// tag directories must be accounted: the monotonic materialization
-	// count covers the quarantined sessions too, and the live idle sync
-	// session keeps the directory-bytes gauge nonzero. The two counters
-	// are wired independently and have desynced before.
-	if m.TagDirsMaterialized == 0 || m.TagDirBytes == 0 {
-		t.Fatalf("tag_dirs_materialized_total=%d tag_dir_bytes=%d, want both nonzero",
-			m.TagDirsMaterialized, m.TagDirBytes)
+	// Each MTE session's Java heap gets its tag directory at map time: one
+	// 8-byte entry per 16 KiB. Guarded and none sessions and every native
+	// heap are untagged, and the quarantined sessions' directories left
+	// with them, so the gauge is exactly the live MTE sessions' entries.
+	// Every request released its session before answering, so the live
+	// set read here is the one /metrics summed.
+	mteLive := 0
+	for _, si := range s.Pool().Sessions() {
+		if si.Scheme == mte4jni.MTESync.String() || si.Scheme == mte4jni.MTEAsync.String() {
+			mteLive++
+		}
+	}
+	if mteLive == 0 {
+		t.Fatal("no live MTE session after the clean sync run")
+	}
+	if want := uint64(mteLive) * (s.cfg.Pool.HeapSize / (16 << 10)) * 8; m.TagDirBytes != want {
+		t.Fatalf("tag_dir_bytes = %d, want %d (%d live MTE sessions)", m.TagDirBytes, want, mteLive)
 	}
 }
 

@@ -124,15 +124,22 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 		}
 		errc <- err
 	}()
-	time.Sleep(100 * time.Millisecond) // let the run start spinning
-	cancel()                           // client disconnects
+	// Disconnect only once the run holds its lease: a cancel that landed
+	// before the lease would abort the request without a canceled lease.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Pool().Stats().Leased != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("run never leased a session: %+v", s.Pool().Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel() // client disconnects
 	if err := <-errc; err == nil {
 		t.Fatal("canceled request returned no client error")
 	}
 
 	// The server observes the cancel asynchronously; poll until the
 	// counters and the lease ledger settle.
-	deadline := time.Now().Add(10 * time.Second)
 	for {
 		snap := s.Sink().Snapshot()
 		st := s.Pool().Stats()

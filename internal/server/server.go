@@ -130,7 +130,6 @@ func New(cfg Config) *Server {
 			TagPagesMaterialized: ts.PagesMaterialized,
 			TagPagesUniform:      ts.PagesUniform,
 			TagZeroDedupHits:     ts.ZeroDedupHits,
-			TagDirsMaterialized:  ts.DirsMaterialized,
 			TagDirBytes:          ts.DirBytes,
 			TagBytesResident:     ts.BytesResident,
 			TagBytesFlatEquiv:    ts.BytesFlatEquiv,

@@ -29,11 +29,11 @@
 //     consults the elided() gate, so invalidated proofs fall back to
 //     checked access.
 //   - tagtable-encapsulation: the hierarchical tag store's raw storage —
-//     the per-mapping page directory (tagTable.dir) and the canonical
+//     the per-mapping page directory (Mapping.tagPages) and the canonical
 //     uniform-page array (uniformPages) — may only be named inside
 //     internal/mem/tagtable.go; all other code resolves pages through the
-//     page()/canonical() accessors, which uphold the publication and
-//     residency invariants.
+//     Tagged()/tpage()/canonical() accessors, which uphold the publication
+//     and residency invariants.
 //   - redteam-encapsulation: the New*Attack constructors build unharnessed
 //     exploits and may only be called inside internal/redteam; everything
 //     else consumes the corpus through redteam.Run/Corpus or the serving

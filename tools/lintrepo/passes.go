@@ -521,21 +521,25 @@ func checkAtomicConsistency(files []*ast.File) []diagnostic {
 //
 // The hierarchical tag store (internal/mem/tagtable.go) owns two pieces of
 // raw storage: each mapping's directory of atomic page pointers
-// (tagTable.dir) and the canonical uniform-page array (uniformPages). Every
-// invariant the store guarantees — pages fully filled before CAS
-// publication, canonical pages never written, freelist recycling, residency
-// accounting — lives behind its methods plus the page()/canonical()
-// accessors. Code that indexes the directory or the canonical array
-// directly could observe a half-initialized page or skew the counters, so
-// this pass pins the boundary: inside internal/mem only tagtable.go may
-// name tagTable.dir or uniformPages. Outside the package both are
-// unexported and unreachable; indexing a `.dir` selector there is still
-// flagged as defense in depth against the storage being re-exposed through
-// a wrapper. Syntax-only caveat: any field named `dir` trips the rule, so
-// the name is effectively reserved for the tag directory in this module.
+// (Mapping.tagPages) and the canonical uniform-page array (uniformPages).
+// Every invariant the store guarantees — pages fully filled before CAS
+// publication, canonical pages never written, residency accounting — lives
+// behind its methods plus the Tagged()/tpage()/canonical() accessors. Code
+// that indexes the directory or the canonical array directly could observe
+// a half-initialized page or skew the counters, so this pass pins the
+// boundary: inside internal/mem only tagtable.go may name
+// Mapping.tagPages or uniformPages. Outside the package both are
+// unexported and unreachable; indexing a `.tagPages` selector there is
+// still flagged as defense in depth against the storage being re-exposed
+// through a wrapper. Syntax-only caveat: any field named `tagPages` trips
+// the rule, so the name is reserved for the tag directory in this module.
 
-// tagTableFile is the one file allowed to touch raw tag-page storage.
-const tagTableFile = "tagtable.go"
+// tagTableFile is the one file allowed to touch raw tag-page storage, and
+// tagDirField names the per-mapping tag directory it owns.
+const (
+	tagTableFile = "tagtable.go"
+	tagDirField  = "tagPages"
+)
 
 func checkTagTableEncapsulation(fset *token.FileSet, importPath string, files []*ast.File) []diagnostic {
 	inMem := importPath == faultConstructorPkg
@@ -547,17 +551,17 @@ func checkTagTableEncapsulation(fset *token.FileSet, importPath string, files []
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
-				if inMem && n.Sel.Name == "dir" {
+				if inMem && n.Sel.Name == tagDirField {
 					diags = append(diags, diagnostic{
 						pos: n.Sel.Pos(),
-						msg: "selector .dir reaches into the tag-page directory outside tagtable.go: raw tag storage must go through tagTable methods (page/setRange/release) so page-publication and residency invariants hold",
+						msg: "selector .tagPages reaches into the tag-page directory outside tagtable.go: raw tag storage must go through the tagtable.go accessors (Tagged/tpage/setTags/releaseTags) so page-publication and residency invariants hold",
 					})
 				}
 			case *ast.IndexExpr:
-				if sel, ok := n.X.(*ast.SelectorExpr); ok && !inMem && sel.Sel.Name == "dir" {
+				if sel, ok := n.X.(*ast.SelectorExpr); ok && !inMem && sel.Sel.Name == tagDirField {
 					diags = append(diags, diagnostic{
 						pos: n.Pos(),
-						msg: "indexing a .dir field outside internal/mem looks like direct tag-page directory access: the two-level tag table is private to internal/mem and must stay behind Space accessors",
+						msg: "indexing a .tagPages field outside internal/mem looks like direct tag-page directory access: the two-level tag table is private to internal/mem and must stay behind Space accessors",
 					})
 				}
 			case *ast.Ident:

@@ -164,14 +164,14 @@ func TestTagTableEncapsulationPass(t *testing.T) {
 	// the accessor-based goodRead shape is not.
 	got := lintFixture(t, "mte4jni/internal/mem", "tagtable_bad.go")
 	wantDiags(t, got,
-		"selector .dir reaches into the tag-page directory outside tagtable.go",
+		"selector .tagPages reaches into the tag-page directory outside tagtable.go",
 		"uniformPages referenced outside tagtable.go",
 	)
 	// Outside the package only the indexed directory access is flagged, as
 	// defense in depth against the storage being re-exposed.
 	got = lintFixture(t, "mte4jni/internal/server", "tagtable_bad.go")
 	wantDiags(t, got,
-		"indexing a .dir field outside internal/mem looks like direct tag-page directory access",
+		"indexing a .tagPages field outside internal/mem looks like direct tag-page directory access",
 	)
 }
 

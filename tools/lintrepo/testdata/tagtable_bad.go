@@ -1,34 +1,38 @@
 // Fixture for the tagtable-encapsulation pass. Linted twice: under
-// internal/mem (as if this were a sibling of tagtable.go) both the .dir
-// selector and the uniformPages reference are flagged; under any other
-// import path only the indexed .dir access is, as defense in depth. The
-// good shape — resolving pages through the accessor and comparing against
-// canonical() — is never flagged. Parsed, never compiled, so the accessor
-// and canonical helper (which live in tagtable.go) need no definitions here.
+// internal/mem (as if this were a sibling of tagtable.go) both the
+// .tagPages selector and the uniformPages reference are flagged; under any
+// other import path only the indexed .tagPages access is, as defense in
+// depth. The good shape — resolving pages through the accessors and
+// comparing against canonical() — is never flagged. Parsed, never
+// compiled, so the accessors and canonical helper (which live in
+// tagtable.go) need no definitions here.
 package fixture
 
-type fixtureTagPage [256]uint8
+type fixtureTagPage [1024]uint8
 
 // The field declaration itself is fine — only expressions that read or
 // index the directory are storage access.
-type fixtureTagTable struct {
-	dir []*fixtureTagPage
+type fixtureMapping struct {
+	tagPages []*fixtureTagPage
 }
 
-// goodRead is the sanctioned shape: resolve the page through the accessor
-// and compare against a canonical pointer.
-func goodRead(t *fixtureTagTable, gi int) uint8 {
-	pg := t.page(gi >> 8)
+// goodRead is the sanctioned shape: check Tagged, resolve the page through
+// the accessor and compare against a canonical pointer.
+func goodRead(m *fixtureMapping, gi int) uint8 {
+	if !m.Tagged() {
+		return 0
+	}
+	pg := m.tpage(gi >> 10)
 	if pg == canonical(0) {
 		return 0
 	}
-	return pg[gi&255]
+	return pg[gi&1023]
 }
 
 // badRead indexes the directory directly: flagged under internal/mem
-// (selector .dir) and elsewhere (indexed .dir).
-func badRead(t *fixtureTagTable, gi int) uint8 {
-	return t.dir[gi>>8][gi&255]
+// (selector .tagPages) and elsewhere (indexed .tagPages).
+func badRead(m *fixtureMapping, gi int) uint8 {
+	return m.tagPages[gi>>10][gi&1023]
 }
 
 // badUniform writes through the canonical array: flagged under
