@@ -2,17 +2,19 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"os"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
-	"math/rand"
-
+	"mte4jni"
 	"mte4jni/internal/analysis"
 	"mte4jni/internal/bench"
 	"mte4jni/internal/pool"
@@ -20,621 +22,241 @@ import (
 	"mte4jni/internal/server"
 )
 
-// runLoad is the concurrent load generator for `mte4jni serve`. It fires n
-// requests at the daemon across c connections — the canned safe probe, a
-// built-in workload, every -fault-every-th request the canned
-// deliberately-faulting probe, and every -reject-rate-th request a known
-// provably-faulting inline program that the static admission screen must
-// turn away with 422 — then prints a latency/fault summary and reconciles
-// its own counts against the change in the server's /metrics over the run.
-// Any verdict mismatch (a fault where none was injected, a missing fault
-// where one was, a missing or malformed 422 rejection, a non-200 response,
-// or metrics that do not add up) makes it exit nonzero.
+// abandonAfter is how long a cancel-kind request runs before its client
+// walks away from the connection.
+const abandonAfter = 50 * time.Millisecond
+
+// runLoad is the concurrent load generator for `mte4jni serve`. Each request
+// belongs to one row of the request table (requestKinds), which fixes what it
+// sends, the reply it must get under the run's scheme and the change in
+// /metrics it must cause. A failed exchange, a wrong verdict or a counter
+// outside its summed range makes runLoad exit nonzero.
 func runLoad(args []string) error {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:8321", "server base URL")
 	n := fs.Int("n", 50, "total requests")
 	c := fs.Int("c", 8, "concurrent workers (closed loop; -rate ignores it)")
 	scheme := fs.String("scheme", "sync", "protection scheme for every request (none, guarded, sync, async)")
-	workload := fs.String("workload", "", "run this built-in workload instead of the canned safe probe")
-	iters := fs.Int("iters", 1, "workload iterations per request")
-	faultEvery := fs.Int("fault-every", 0, "make every k-th request the deliberately-faulting OOB probe (0 = never)")
-	rejectRate := fs.Int("reject-rate", 0, "make every k-th request a known-bad inline program the admission screen must reject with 422 (0 = never; wins over -fault-every)")
-	cancelRate := fs.Int("cancel-rate", 0, "make every k-th request a runaway spin program whose connection the client abandons after -cancel-after (0 = never; the server must count it canceled_total and recycle the lease)")
-	cancelAfter := fs.Duration("cancel-after", 50*time.Millisecond, "how long a -cancel-rate request runs before the client disconnects")
-	deadlineRate := fs.Int("deadline-rate", 0, "make every k-th request a runaway spin program the server's -run-timeout must cut off with 504 (0 = never)")
-	attackRate := fs.Int("attack-rate", 0, "make every k-th request the canned red-team attack probe as tenant \"redteam\" (0 = never; requires -c 1)")
-	temporalRate := fs.Int("temporal-rate", 0, "make every k-th request a red-team corpus program under its risky scheme, which the temporal screen must flag — and, for the policy-rejected shapes, 422 with the provenance chain (0 = never)")
-	attackDelayThreshold := fs.Int("attack-delay-threshold", 0, "mirror of the server's -attack-delay-threshold so the client replicates the escalation state machine for exact reconciliation")
-	attackQuarantineThreshold := fs.Int("attack-quarantine-threshold", 0, "mirror of the server's -attack-quarantine-threshold")
-	noReconcile := fs.Bool("no-reconcile", false, "skip the /metrics reconciliation (server is shared with other clients)")
 	rate := fs.Float64("rate", 0, "open-loop arrival rate in req/s: requests launch on Poisson inter-arrival times regardless of completions, the queueing discipline real traffic applies (0 = closed loop over -c workers)")
 	sloP99 := fs.Duration("slo-p99", 0, "fail (exit nonzero) when the run's p99 latency exceeds this budget (0 = no SLO gate)")
-	reportFile := fs.String("report", "", "write a JSON report (throughput, latency percentiles, SLO verdict) to this file")
-	tenantCount := fs.Int("tenants", 0, "spread requests across K tenants (load-tenant-*), picked shard-affine so each of the server's shards (as the /metrics baseline counts them; 1 under -no-reconcile) homes K/shards of them; K must be a multiple of the shard count, and no shard may then serve more than 2x the mean (0 = no tenant attribution)")
+	reportFile := fs.String("report", "", "write a JSON report (throughput, latency percentiles, verdict counts, SLO verdict) to this file")
+	tenantCount := fs.Int("tenants", 0, "spread requests across K tenants (load-tenant-*), picked shard-affine so each of the server's shards (as the /metrics baseline counts them) homes K/shards of them; K must be a multiple of the shard count, and no shard may then serve more than 2x the mean (0 = no tenant attribution)")
+	kinds := requestKinds(fs)
 	fs.Parse(args)
-	parsedScheme, err := server.ParseScheme(*scheme)
+	sc, err := server.ParseScheme(*scheme)
 	if err != nil {
 		return err
 	}
 	if *n <= 0 || *c <= 0 {
 		return fmt.Errorf("load: -n and -c must be positive")
 	}
-	if *rate > 0 && *attackRate > 0 {
-		return fmt.Errorf("load: -rate (open loop) and -attack-rate (order-dependent escalation) cannot be combined")
-	}
-	// The escalation state machine is sequential by nature — which probe
-	// trips which tier depends on strict request order — so attack injection
-	// demands a single worker.
-	if *attackRate > 0 && *c != 1 {
-		return fmt.Errorf("load: -attack-rate requires -c 1 (escalation accounting is order-dependent)")
-	}
-	// The attack probe is detected exactly when the scheme is an MTE one.
-	expectDetect := parsedScheme.MTE()
-
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	// Snapshot the server counters up front: reconciliation compares the
-	// *change* over this run, so it works against warm servers too. The
-	// baseline's per-shard rows also give the server's shard count.
-	var before server.MetricsResponse
-	shards := 1
-	if !*noReconcile {
-		if err := getJSON(client, *url+"/metrics", &before); err != nil {
-			return fmt.Errorf("load: fetching /metrics baseline: %w", err)
+	plan := make([]*kind, *n) // request i belongs to the first row claiming it
+	for i := range plan {
+		for _, k := range kinds {
+			if plan[i] == nil && k.claims(i) {
+				plan[i] = k
+			}
 		}
-		shards = len(before.Pool.Shards)
+		if plan[i].serial && (*c != 1 || *rate > 0) {
+			return fmt.Errorf("load: -attack-rate requires -c 1 and no -rate (escalation accounting is order-dependent)")
+		}
 	}
+
+	client, abandoning := &http.Client{Timeout: 60 * time.Second}, &http.Client{Timeout: abandonAfter}
+	// Reconciliation compares the change over this run, so it works against
+	// warm servers too. The baseline's per-shard rows give the shard count.
+	before, beforeFlat, err := getMetrics(client, *url)
+	if err != nil {
+		return fmt.Errorf("load: fetching /metrics baseline: %w", err)
+	}
+	shards := len(before.Pool.Shards)
 	if shards < 1 || *tenantCount%shards != 0 {
 		return fmt.Errorf("load: -tenants %d is not a multiple of the server's %d shards", *tenantCount, shards)
 	}
-
-	// Tenant spread: K distinct tenants round-robined over the requests,
-	// picked shard-affine — probe the shared affinity hash (the same FNV the
-	// server routes with) until K/shards tenants home on each shard — so a
-	// uniform request spread is a uniform shard spread by construction, and
-	// the 2x-mean balance check below cannot be failed by hash luck.
-	var tenantNames []string
-	for shard := 0; shard < shards; shard++ {
-		need := *tenantCount / shards
-		for probe := 0; need > 0; probe++ {
-			name := fmt.Sprintf("load-tenant-%d", probe)
-			if int(pool.AffinityKey(name, parsedScheme.String())%uint64(shards)) == shard {
-				tenantNames = append(tenantNames, name)
-				need--
-			}
-			if probe > 1<<20 {
-				return fmt.Errorf("load: no tenant name hashes to shard %d", shard)
-			}
+	// Tenant spread: probe the server's affinity hash until K/shards tenants
+	// home on each shard, so a uniform request spread is a uniform shard
+	// spread by construction and the balance check cannot fail by hash luck.
+	var tenants []string
+	homed := make([]int, shards)
+	for probe := 0; len(tenants) < *tenantCount; probe++ {
+		name := fmt.Sprintf("load-tenant-%d", probe)
+		if s := pool.AffinityKey(name, sc.String()) % uint64(shards); homed[s] < *tenantCount/shards {
+			homed[s]++
+			tenants = append(tenants, name)
 		}
 	}
 
-	// Marshal the reject corpus once; workers round-robin through it.
-	var badProgs [][]byte
-	for _, name := range pool.BadProgramNames {
-		raw, err := analysis.MarshalProgram(pool.BadProgram(name))
-		if err != nil {
-			return fmt.Errorf("load: marshal %s: %w", name, err)
+	results := make([]result, *n)
+	do := func(i int) {
+		req, want := plan[i].build(i, sc)
+		if req.Scheme == "" {
+			req.Scheme = *scheme
 		}
-		badProgs = append(badProgs, raw)
+		if req.Tenant == "" && len(tenants) > 0 {
+			req.Tenant = tenants[i%len(tenants)]
+		}
+		cl := client
+		if want.status == 0 {
+			cl = abandoning
+		}
+		status, raw, lat, err := send(cl, *url, req)
+		r := result{req: req, want: want, latency: lat}
+		if err == nil {
+			r.wrong = want.check(status, raw)
+		} else if want.status != 0 { // an abandoned request has no reply to judge
+			r.transport = err
+		}
+		results[i] = r
 	}
-
-	// The temporal corpus: four red-team attack shapes as inline programs,
-	// each submitted under the scheme whose checker is exposed to it. Three
-	// are provable faults the admission screen 422s (temporal findings riding
-	// along in the verdict); the lost update is admitted by the fault screen
-	// and rejected by the temporal policy — the server must run with the
-	// default -temporal-policy reject for the script to hold.
-	var temporalProgs []temporalEntry
-	if *temporalRate > 0 {
-		byName := make(map[string]redteam.CorpusProgram)
-		for _, cp := range redteam.CorpusPrograms() {
-			byName[cp.Name] = cp
-		}
-		for _, name := range []string{
-			"async-window/damage", "gc-race/scan-window",
-			"guardedcopy/oob-read", "guardedcopy/lost-update",
-		} {
-			cp, ok := byName[name]
-			if !ok {
-				return fmt.Errorf("load: temporal corpus missing %s", name)
-			}
-			raw, err := analysis.MarshalProgram(cp.Program)
-			if err != nil {
-				return fmt.Errorf("load: marshal %s: %w", name, err)
-			}
-			temporalProgs = append(temporalProgs, temporalEntry{
-				raw: raw, scheme: cp.Scheme, class: string(cp.WantClass),
-				policyReject: name == "guardedcopy/lost-update",
-			})
-		}
-	}
-
-	// The runaway probe for cancel/deadline injection: a pure countdown loop
-	// the admission screen admits but no sane budget lets finish.
-	var spinProg []byte
-	if *cancelRate > 0 || *deadlineRate > 0 {
-		raw, err := analysis.MarshalProgram(pool.SpinProgram(1 << 40))
-		if err != nil {
-			return fmt.Errorf("load: marshal spin program: %w", err)
-		}
-		spinProg = raw
-	}
-
-	outcomes := make([]loadOutcome, *n)
+	// Closed loop: at most c requests in flight, each slot refilled when its
+	// request completes. Open loop: arrivals follow a Poisson process at
+	// -rate regardless of completions, so a slow server faces a growing
+	// backlog as it would behind real traffic, which keeps the percentiles
+	// honest SLO inputs (a closed loop slows its arrivals when the server
+	// lags and flatters the tail).
 	var wg sync.WaitGroup
-	// attackFaults is the client's replica of the server's per-tenant fault
-	// count for tenant "redteam". Only touched when -attack-rate is set,
-	// which forces a single worker, so plain state is race-free.
-	attackFaults := 0
-	doRequest := func(i int) {
-		req := server.RunRequest{Scheme: *scheme}
-		// Injection precedence: reject > cancel > deadline > attack >
-		// fault.
-		reject := *rejectRate > 0 && (i+1)%*rejectRate == 0
-		temporal := !reject && *temporalRate > 0 && (i+1)%*temporalRate == 0
-		canceled := !reject && !temporal && *cancelRate > 0 && (i+1)%*cancelRate == 0
-		deadlined := !reject && !temporal && !canceled && *deadlineRate > 0 && (i+1)%*deadlineRate == 0
-		attacked := !reject && !temporal && !canceled && !deadlined && *attackRate > 0 && (i+1)%*attackRate == 0
-		injected := !reject && !temporal && !canceled && !deadlined && !attacked && *faultEvery > 0 && (i+1)%*faultEvery == 0
-		var te temporalEntry
-		if temporal {
-			// Round-robin by injection ordinal so every corpus shape
-			// gets an even share regardless of the rate.
-			te = temporalProgs[((i+1) / *temporalRate - 1)%len(temporalProgs)]
-		}
-		switch {
-		case reject:
-			req.Program = badProgs[i%len(badProgs)]
-		case temporal:
-			req.Scheme = te.scheme
-			req.Program = te.raw
-		case canceled, deadlined:
-			req.Program = spinProg
-		case attacked:
-			req.Canned = "attack"
-			req.Tenant = "redteam"
-		case injected:
-			req.Canned = "oob"
-		case *workload != "":
-			req.Workload = *workload
-			req.Iterations = *iters
-		default:
-			req.Canned = "safe"
-		}
-		// Attribute the request to its round-robin tenant so the
-		// server's affinity router spreads the run across shards;
-		// the attack probe keeps its fixed red-team identity.
-		if req.Tenant == "" && len(tenantNames) > 0 {
-			req.Tenant = tenantNames[i%len(tenantNames)]
-		}
-		switch {
-		case temporal:
-			outcomes[i] = fireTemporal(client, *url, req, te)
-		case canceled:
-			outcomes[i] = fireCancel(client, *url, req, *cancelAfter)
-		case deadlined:
-			outcomes[i] = fireDeadline(client, *url, req)
-		case attacked:
-			// Replicate the server's escalation state machine: the
-			// tier in force for this admission follows from the
-			// detected-fault count so far.
-			expect429 := *attackQuarantineThreshold > 0 && attackFaults >= *attackQuarantineThreshold
-			throttled := !expect429 && *attackDelayThreshold > 0 && attackFaults >= *attackDelayThreshold
-			o := fireAttack(client, *url, req, expectDetect, expect429)
-			o.throttled = throttled && o.err == nil && !o.refused
-			if o.attackDetected {
-				attackFaults++
-			}
-			outcomes[i] = o
-		default:
-			outcomes[i] = fire(client, *url, req, injected, reject)
-		}
-	}
-
+	slots := make(chan struct{}, *c)
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	start := time.Now()
-	if *rate > 0 {
-		// Open loop: arrivals follow a Poisson process at -rate regardless
-		// of completions — a slow server faces a growing backlog exactly as
-		// it would behind real traffic, which is what makes the measured
-		// percentiles honest SLO inputs (a closed loop slows its own
-		// arrivals down when the server lags and flatters the tail).
-		rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-		next := start
-		for i := 0; i < *n; i++ {
+	next := start
+	for i := 0; i < *n; i++ {
+		if *rate > 0 {
 			next = next.Add(time.Duration(rng.ExpFloat64() / *rate * float64(time.Second)))
-			if d := time.Until(next); d > 0 {
-				time.Sleep(d)
+			time.Sleep(time.Until(next))
+		} else {
+			slots <- struct{}{}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			do(i)
+			if *rate == 0 {
+				<-slots
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				doRequest(i)
-			}(i)
-		}
-	} else {
-		jobs := make(chan int)
-		for w := 0; w < *c; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					doRequest(i)
-				}
-			}()
-		}
-		for i := 0; i < *n; i++ {
-			jobs <- i
-		}
-		close(jobs)
+		}(i)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	// Aggregate.
-	var ok, faulted, injected, rejected, canceled, deadlined, failed int
-	var attacked, attackDetected, attackRefused, attackThrottled int
-	var elidedSites, invalidated int
-	var temporalFlagged, temporalPolicyRejected int
-	temporalByClass := make(map[string]int)
+	// Every request adds its row's expected /metrics changes to the tally,
+	// which starts from a zero range for each held field.
+	tally := deltas{}
+	for _, f := range held {
+		tally[f] = span{}
+	}
+	verified := map[string]int64{} // by row
+	programs := map[string]bool{}
+	var wrong, transport int
+	var first error
 	lats := make([]float64, 0, *n) // ns
-	for i, o := range outcomes {
-		if o.err != nil {
-			failed++
-			if failed <= 5 {
-				fmt.Fprintf(os.Stderr, "load: request %d: %v\n", i, o.err)
-			}
-			continue
-		}
-		// Elision accounting is summed over every response the server actually
-		// sent; abandoned connections have no response and the runaway spin
-		// program has no elidable sites, so aborts contribute exactly zero.
-		elidedSites += o.elidedSites
-		if o.invalidated {
-			invalidated++
-		}
-		if o.throttled {
-			attackThrottled++
-		}
-		if len(o.temporalClasses) > 0 {
-			temporalFlagged++
-			for _, c := range o.temporalClasses {
-				temporalByClass[c]++
-			}
+	for i, r := range results {
+		tally.add(r.want.deltas)
+		if len(r.req.Program) > 0 {
+			programs[string(r.req.Program)] = true
 		}
 		switch {
-		case o.canceled:
-			// An abandoned connection has no server response, so no
-			// meaningful latency sample either.
-			canceled++
-			continue
-		case o.refused:
-			// A 429'd attack probe never became a request.
-			attackRefused++
-			continue
-		case o.attacked:
-			attacked++
-			if o.attackDetected {
-				attackDetected++
-			}
-		case o.deadlined:
-			deadlined++
-		case o.temporalRejected:
-			temporalPolicyRejected++
-		case o.rejected:
-			rejected++
-		case o.faulted:
-			faulted++
+		case r.transport != nil:
+			transport++
+			r.wrong = fmt.Errorf("transport: %w", r.transport)
+		case r.wrong != nil:
+			wrong++
 		default:
-			ok++
+			verified[plan[i].name]++
+			if r.want.status != 0 {
+				lats = append(lats, float64(r.latency))
+			}
+			continue
 		}
-		lats = append(lats, float64(o.latency))
-		if o.injected {
-			injected++
+		if first == nil {
+			first = fmt.Errorf("request %d (%s under %s): %w", i, plan[i].name, r.req.Scheme, r.wrong)
 		}
 	}
 	latRep := summarizeLatency(lats)
-	// The open loop starts one goroutine per arrival and ignores -c, so it
-	// has no worker count to report.
+	rep := loadReport{
+		Requests: *n, Workers: *c, OpenLoop: *rate > 0, RateTargetRPS: *rate,
+		RateAchievedRPS: float64(*n) / wall.Seconds(), WallNS: wall.Nanoseconds(),
+		Verified: verified, WrongVerdicts: wrong, TransportErrors: transport, Latency: latRep,
+	}
 	shape := fmt.Sprintf("over %d workers", *c)
-	workers := *c
 	if *rate > 0 {
-		shape, workers = "open loop", 0
+		// The open loop ignores -c, so it has no worker count to report.
+		shape, rep.Workers = fmt.Sprintf("open loop at %.0f req/s", *rate), 0
 	}
-	fmt.Printf("load: %d requests %s in %v (%.0f req/s)\n",
-		*n, shape, wall.Round(time.Millisecond), float64(*n)/wall.Seconds())
-	fmt.Printf("  ok=%d faulted=%d (injected %d) rejected=%d canceled=%d deadlined=%d transport-errors=%d\n",
-		ok, faulted, injected, rejected, canceled, deadlined, failed)
-	fmt.Printf("  elision: guard-free sites=%d invalidated-runs=%d\n", elidedSites, invalidated)
-	if *attackRate > 0 {
-		fmt.Printf("  attack: probes=%d detected=%d throttled=%d refused-429=%d\n",
-			attacked, attackDetected, attackThrottled, attackRefused)
-	}
-	if *temporalRate > 0 {
-		fmt.Printf("  temporal: flagged=%d window-risk=%d scan-race=%d blindspot=%d policy-rejected=%d\n",
-			temporalFlagged, temporalByClass[string(analysis.WindowRisk)],
-			temporalByClass[string(analysis.WindowScanRace)],
-			temporalByClass[string(analysis.WindowGuardedCopyBlindSpot)],
-			temporalPolicyRejected)
-	}
+	fmt.Printf("load: %d requests %s in %v (%.0f req/s)\n", *n, shape, wall.Round(time.Millisecond), rep.RateAchievedRPS)
+	fmt.Printf("  verified:%s wrong-verdicts=%d transport-errors=%d\n", fields(verified, "%d"), wrong, transport)
 	if len(lats) > 0 {
 		us := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 		fmt.Printf("  latency: p50=%v p90=%v p99=%v p999=%v max=%v\n",
 			us(latRep.P50NS), us(latRep.P90NS), us(latRep.P99NS), us(latRep.P999NS), us(latRep.MaxNS))
 	}
-	if *rate > 0 {
-		fmt.Printf("  open-loop: target=%.0f req/s achieved=%.0f req/s\n", *rate, float64(*n)/wall.Seconds())
+	if *sloP99 > 0 {
+		met := time.Duration(latRep.P99NS) <= *sloP99
+		rep.SLOP99NS, rep.SLOP99Met = sloP99.Nanoseconds(), &met
 	}
 	if *reportFile != "" {
-		rep := loadReport{
-			Requests:        *n,
-			Workers:         workers,
-			OpenLoop:        *rate > 0,
-			RateTargetRPS:   *rate,
-			RateAchievedRPS: float64(*n) / wall.Seconds(),
-			WallNS:          wall.Nanoseconds(),
-			OK:              ok,
-			Faulted:         faulted,
-			Rejected:        rejected,
-			Canceled:        canceled,
-			Deadlined:       deadlined,
-			TransportErrors: failed,
-			Latency:         latRep,
-		}
-		if *sloP99 > 0 {
-			rep.SLOP99NS = sloP99.Nanoseconds()
-			met := time.Duration(latRep.P99NS) <= *sloP99
-			rep.SLOP99Met = &met
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
+		data, _ := json.MarshalIndent(rep, "", "  ") // plain fields always marshal
 		if err := os.WriteFile(*reportFile, append(data, '\n'), 0o644); err != nil {
 			return fmt.Errorf("load: writing report: %w", err)
 		}
 	}
-
-	if failed > 0 {
-		return fmt.Errorf("load: %d requests failed at the transport/HTTP layer", failed)
-	}
-	if faulted != injected {
-		return fmt.Errorf("load: fault verdicts off: %d faults observed, %d injected", faulted, injected)
+	if first != nil {
+		return fmt.Errorf("load: %d wrong verdicts, %d transport errors; first: %w", wrong, transport, first)
 	}
 
-	if !*noReconcile {
-		// A client-side disconnect is observed by the server asynchronously:
-		// the interpreter notices on its next cancellation poll, counts the
-		// abort, and releases the lease *after* the client has already moved
-		// on. Poll until the abort counters and the lease ledger settle
-		// before comparing deltas.
-		var after server.MetricsResponse
-		settleBy := time.Now().Add(15 * time.Second)
-		for {
-			if err := getJSON(client, *url+"/metrics", &after); err != nil {
-				return fmt.Errorf("load: fetching /metrics: %w", err)
-			}
-			settled := after.CanceledTotal-before.CanceledTotal >= uint64(canceled) &&
-				after.Pool.Leased == 0
-			if settled || time.Now().After(settleBy) {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
+	// The server sees a client disconnect asynchronously: the run notices at
+	// its next cancellation poll and releases the lease and counts the abort
+	// after the client has moved on. Poll until both have happened.
+	var after server.MetricsResponse
+	var afterFlat map[string]int64
+	for settleBy := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if after, afterFlat, err = getMetrics(client, *url); err != nil {
+			return fmt.Errorf("load: fetching /metrics: %w", err)
 		}
-		dRequests := after.RequestsTotal - before.RequestsTotal
-		dFaults := after.FaultsTotal - before.FaultsTotal
-		dQuarantined := after.Pool.Quarantined - before.Pool.Quarantined
-		dScreened := after.ScreenedTotal - before.ScreenedTotal
-		dRejected := after.ScreenRejectedTotal - before.ScreenRejectedTotal
-		dCacheHits := after.ScreenCacheHits - before.ScreenCacheHits
-		dCanceled := after.CanceledTotal - before.CanceledTotal
-		dDeadline := after.DeadlineExceededTotal - before.DeadlineExceededTotal
-		dErrors := after.ErrorsTotal - before.ErrorsTotal
-		dCanceledLeases := after.Pool.CanceledLeases - before.Pool.CanceledLeases
-		dElided := after.ElidedSitesTotal - before.ElidedSitesTotal
-		dInvalidated := after.ElisionInvalidatedTotal - before.ElisionInvalidatedTotal
-		dAttackProbes := after.AttackProbesTotal - before.AttackProbesTotal
-		dDetections := after.DetectionsTotal - before.DetectionsTotal
-		dThrottled := after.Pool.ThrottledTotal - before.Pool.ThrottledTotal
-		dReseeds := after.Pool.ReseedsTotal - before.Pool.ReseedsTotal
-		dTenantsQuar := after.Pool.TenantsQuarantined - before.Pool.TenantsQuarantined
-		fmt.Printf("  server: +requests=%d +faults=%d +screened=%d +rejected=%d +cache-hits=%d +quarantined=%d\n",
-			dRequests, dFaults, dScreened, dRejected, dCacheHits, dQuarantined)
-		fmt.Printf("  server: +elided-sites=%d +elision-invalidated=%d\n", dElided, dInvalidated)
-		if canceled+deadlined > 0 {
-			fmt.Printf("  server: +canceled=%d +deadline-exceeded=%d +canceled-leases=%d leased-now=%d\n",
-				dCanceled, dDeadline, dCanceledLeases, after.Pool.Leased)
+		canceled := afterFlat["canceled_total"] - beforeFlat["canceled_total"]
+		if after.Pool.Leased == 0 && canceled >= tally["canceled_total"].lo || time.Now().After(settleBy) {
+			break
 		}
-		// Abort accounting must be exact: every client disconnect and every
-		// deadline cutoff shows up in its counter, exactly once, and never
-		// doubles as an error.
-		if dCanceled != uint64(canceled) {
-			return fmt.Errorf("load: canceled_total off: server counted +%d, client abandoned %d requests", dCanceled, canceled)
+	}
+	moved := map[string]int64{}
+	for _, f := range append([]string{"screen_cache_hits", "pool.created", "pool.reused"}, keys(tally)...) {
+		moved[f] = afterFlat[f] - beforeFlat[f]
+	}
+	fmt.Printf("  server:%s\n", fields(moved, "%+d"))
+	if err := reconcile(beforeFlat, afterFlat, tally); err != nil {
+		return err
+	}
+	// All but the first (cold) screening of each distinct program sent must
+	// be verdict-cache hits.
+	if screened, hits := moved["screened_total"], moved["screen_cache_hits"]; hits+int64(len(programs)) < screened {
+		return fmt.Errorf("load: screen cache ineffective: +%d hits for %d screenings over %d distinct programs",
+			hits, screened, len(programs))
+	}
+	// Per-shard ledger: every lease is accounted to exactly one shard, so
+	// the shards' lease counts sum to the pool's created+reused.
+	if len(after.Pool.Shards) != shards {
+		return fmt.Errorf("load: server reports %d shards, %d at the baseline", len(after.Pool.Shards), shards)
+	}
+	var leases []int64
+	var dLeases, maxLeases int64
+	for i, a := range after.Pool.Shards {
+		if a.Leased != 0 || a.Waiters != 0 {
+			return fmt.Errorf("load: shard %d not drained: leased=%d waiters=%d", i, a.Leased, a.Waiters)
 		}
-		if dDeadline != uint64(deadlined) {
-			return fmt.Errorf("load: deadline_exceeded_total off: server counted +%d, client expected %d", dDeadline, deadlined)
-		}
-		if dErrors != 0 {
-			return fmt.Errorf("load: +%d errors_total: aborts or faults misclassified as errors", dErrors)
-		}
-		// Elision accounting is exact, with no cancel tolerance: every
-		// guard-free site the server credited came back in a response the
-		// client summed (aborted runs carry zero elidable sites), and a proof
-		// invalidation anywhere is a loud soundness event, never absorbed.
-		if dElided != uint64(elidedSites) {
-			return fmt.Errorf("load: elided_sites_total off: server credited +%d guard-free sites, client responses summed %d", dElided, elidedSites)
-		}
-		if dInvalidated != uint64(invalidated) {
-			return fmt.Errorf("load: elision_invalidated_total off: server counted +%d fallbacks, client observed %d", dInvalidated, invalidated)
-		}
-		if after.Pool.Leased != 0 {
-			return fmt.Errorf("load: %d leases still outstanding after drain: leaked lease", after.Pool.Leased)
-		}
-		if dCanceledLeases > uint64(canceled+deadlined) {
-			return fmt.Errorf("load: +%d canceled leases for %d injected aborts", dCanceledLeases, canceled+deadlined)
-		}
-		// A rejected program never becomes a request: the screen turns it
-		// away before a session is leased or a request observed. An
-		// abandoned connection usually completes as a 499 request, but a
-		// cancel landing before the run starts legitimately short-circuits
-		// earlier — hence the canceled-wide tolerance (and exactness when no
-		// cancels were injected).
-		// A refused (429) attack probe never becomes a request; a detected
-		// one faults and quarantines its session exactly like an injected
-		// OOB probe.
-		wantFaults := uint64(faulted + attackDetected)
-		wantReqMax := uint64(*n - rejected - temporalPolicyRejected - attackRefused)
-		wantReqMin := wantReqMax - uint64(canceled)
-		if dRequests > wantReqMax || dRequests < wantReqMin || dFaults != wantFaults {
-			return fmt.Errorf("load: metrics do not reconcile: server saw +%d requests / +%d faults, client expected +%d..%d / +%d",
-				dRequests, dFaults, wantReqMin, wantReqMax, wantFaults)
-		}
-		if dQuarantined != wantFaults {
-			return fmt.Errorf("load: %d faults but +%d sessions quarantined", wantFaults, dQuarantined)
-		}
-		if *attackRate > 0 {
-			fmt.Printf("  server: +attack-probes=%d +detections=%d +throttled=%d +reseeds=%d +tenants-quarantined=%d +sessions-reseeded=%d\n",
-				dAttackProbes, dDetections, dThrottled, dReseeds, dTenantsQuar,
-				after.Pool.SessionsReseeded-before.Pool.SessionsReseeded)
-		}
-		// Adversarial accounting is exact: every served probe counts once,
-		// every detection counts once, and the escalation counters follow
-		// the client's replica of the state machine with no tolerance.
-		if dAttackProbes != uint64(attacked) {
-			return fmt.Errorf("load: attack_probes_total off: server counted +%d, client sent %d served probes", dAttackProbes, attacked)
-		}
-		if dDetections != uint64(attackDetected) {
-			return fmt.Errorf("load: detections_total off: server counted +%d, client observed %d detected probes", dDetections, attackDetected)
-		}
-		if dThrottled != uint64(attackThrottled) {
-			return fmt.Errorf("load: throttled_total off: server counted +%d, client expected %d delay-tier admissions", dThrottled, attackThrottled)
-		}
-		// Tier crossings are a pure function of the detected-fault count and
-		// the mirrored thresholds.
-		expReseeds := 0
-		// The delay tier is only ever entered when its threshold sits below
-		// the quarantine threshold (otherwise the tenant jumps straight to
-		// quarantine in a single crossing).
-		delayReachable := *attackDelayThreshold > 0 &&
-			(*attackQuarantineThreshold == 0 || *attackDelayThreshold < *attackQuarantineThreshold)
-		if delayReachable && attackDetected >= *attackDelayThreshold {
-			expReseeds++
-		}
-		expTenantsQuar := 0
-		if *attackQuarantineThreshold > 0 && attackDetected >= *attackQuarantineThreshold {
-			expReseeds++
-			expTenantsQuar = 1
-		}
-		if dReseeds != uint64(expReseeds) {
-			return fmt.Errorf("load: reseeds_total off: server counted +%d tier crossings, client expected %d", dReseeds, expReseeds)
-		}
-		if dTenantsQuar != uint64(expTenantsQuar) {
-			return fmt.Errorf("load: tenants_quarantined_total off: server counted +%d, client expected %d", dTenantsQuar, expTenantsQuar)
-		}
-		// Temporal accounting is exact: every corpus submission was flagged
-		// under its expected window class, and only the policy rejections —
-		// exposed shapes the fault screen admitted — count as temporal
-		// rejections; the provable faults ride screen_rejected_total instead.
-		dTemporalFlagged := after.TemporalFlaggedTotal - before.TemporalFlaggedTotal
-		dTemporalRejected := after.TemporalRejectedTotal - before.TemporalRejectedTotal
-		dWindowRisk := after.TemporalWindowRisk - before.TemporalWindowRisk
-		dScanRace := after.TemporalScanRace - before.TemporalScanRace
-		dBlindSpot := after.TemporalBlindSpot - before.TemporalBlindSpot
-		if *temporalRate > 0 {
-			fmt.Printf("  server: +temporal-flagged=%d +window-risk=%d +scan-race=%d +blindspot=%d +temporal-rejected=%d\n",
-				dTemporalFlagged, dWindowRisk, dScanRace, dBlindSpot, dTemporalRejected)
-		}
-		if dTemporalFlagged != uint64(temporalFlagged) ||
-			dWindowRisk != uint64(temporalByClass[string(analysis.WindowRisk)]) ||
-			dScanRace != uint64(temporalByClass[string(analysis.WindowScanRace)]) ||
-			dBlindSpot != uint64(temporalByClass[string(analysis.WindowGuardedCopyBlindSpot)]) {
-			return fmt.Errorf("load: temporal counters do not reconcile: server flagged +%d (risk %d / race %d / blindspot %d), client submitted %d (%v)",
-				dTemporalFlagged, dWindowRisk, dScanRace, dBlindSpot, temporalFlagged, temporalByClass)
-		}
-		if dTemporalRejected != uint64(temporalPolicyRejected) {
-			return fmt.Errorf("load: temporal_rejected_total off: server counted +%d, client expected %d policy rejections",
-				dTemporalRejected, temporalPolicyRejected)
-		}
-		// Inline programs — bad ones and runaway spins alike — all pass the
-		// admission screen; only the bad ones are rejected. Cancels that
-		// disconnected before screening shave the screened total, same
-		// tolerance as requests above. A temporal corpus submission is
-		// screened whichever way it is ultimately turned away.
-		wantScreenMax := uint64(rejected + temporalPolicyRejected + canceled + deadlined)
-		wantScreenMin := wantScreenMax - uint64(canceled)
-		if dScreened > wantScreenMax || dScreened < wantScreenMin || dRejected != uint64(rejected) {
-			return fmt.Errorf("load: screening counters do not reconcile: server screened +%d (want %d..%d) / rejected +%d (want %d)",
-				dScreened, wantScreenMin, wantScreenMax, dRejected, rejected)
-		}
-		// All but the first (cold) screening of each distinct program must
-		// be verdict-cache hits.
-		distinct := 0
-		if rejected > 0 {
-			distinct += len(badProgs)
-		}
-		if canceled+deadlined > 0 {
-			distinct++ // the spin program
-		}
-		if temporalFlagged > 0 {
-			d := len(temporalProgs)
-			if temporalFlagged < d {
-				d = temporalFlagged
-			}
-			distinct += d
-		}
-		if dScreened > 0 && dCacheHits+uint64(distinct) < dScreened {
-			return fmt.Errorf("load: screen cache ineffective: +%d hits for %d screenings over %d distinct programs",
-				dCacheHits, dScreened, distinct)
-		}
-		// Per-shard ledger reconciliation. The pool accounts every lease to
-		// exactly one shard's tokens (shard_leases_total moves only where
-		// created/reused moves), so the shard sums must reproduce the
-		// pool-level counters to the unit — and, with no aborts in flight,
-		// match the served request count exactly. Shedding is decided at a
-		// shard's queue, so shard_shed_total sums to the pool's rejected.
-		sh := after.Pool.Shards
-		if len(sh) != shards {
-			return fmt.Errorf("load: server reports %d shards, %d at the baseline", len(sh), shards)
-		}
-		var dLeases, dSteals, dShed, dCreated, dReused, maxLeases uint64
-		leaseDeltas := make([]uint64, len(sh))
-		for i, a := range sh {
-			b := before.Pool.Shards[i]
-			if a.Leased != 0 || a.Waiters != 0 {
-				return fmt.Errorf("load: shard %d not drained: leased=%d waiters=%d", i, a.Leased, a.Waiters)
-			}
-			leaseDeltas[i] = a.Leases - b.Leases
-			dLeases += leaseDeltas[i]
-			dSteals += a.Steals - b.Steals
-			dShed += a.Shed - b.Shed
-			dCreated += a.Created - b.Created
-			dReused += a.Reused - b.Reused
-			if leaseDeltas[i] > maxLeases {
-				maxLeases = leaseDeltas[i]
-			}
-		}
-		fmt.Printf("  shards: leases=%v steals=%d shed=%d (created+reused=%d)\n",
-			leaseDeltas, dSteals, dShed, dCreated+dReused)
-		if dLeases != dCreated+dReused {
-			return fmt.Errorf("load: shard lease ledger off: shards sum +%d leases, pool counted +%d created and +%d reused", dLeases, dCreated, dReused)
-		}
-		dPoolRejected := after.Pool.Rejected - before.Pool.Rejected
-		if dShed != dPoolRejected {
-			return fmt.Errorf("load: shard shed ledger off: shards sum +%d, pool rejected +%d", dShed, dPoolRejected)
-		}
-		if canceled == 0 && deadlined == 0 && attackRefused == 0 && dLeases != dRequests {
-			return fmt.Errorf("load: +%d shard leases for +%d served requests", dLeases, dRequests)
-		}
-		// Balance: the affine tenant spread puts the same number of tenants
-		// on every shard, so uniform traffic must spread within 2x of the
-		// mean — skew here means routing or stealing is hoarding leases on
-		// one shard.
-		if *tenantCount > 0 {
-			mean := float64(dLeases) / float64(len(sh))
-			if mean > 0 && float64(maxLeases) > 2*mean {
-				return fmt.Errorf("load: shard imbalance: max +%d leases against mean %.1f (uniform affine load must stay within 2x)", maxLeases, mean)
-			}
-		}
+		d := int64(a.Leases - before.Pool.Shards[i].Leases)
+		leases, dLeases, maxLeases = append(leases, d), dLeases+d, max(maxLeases, d)
+	}
+	fmt.Printf("  shards: leases=%v\n", leases)
+	if built := moved["pool.created"] + moved["pool.reused"]; dLeases != built {
+		return fmt.Errorf("load: shard lease ledger off: shards sum +%d leases, pool counted +%d created and reused", dLeases, built)
+	}
+	// When every request's count is exact, every served request took one lease.
+	if want := tally["requests_total"]; want.lo == want.hi && dLeases != moved["requests_total"] {
+		return fmt.Errorf("load: +%d shard leases for +%d served requests", dLeases, moved["requests_total"])
+	}
+	// The affine tenant spread puts as many tenants on every shard, so a shard
+	// serving over 2x the mean means routing or stealing hoards leases.
+	if mean := float64(dLeases) / float64(shards); *tenantCount > 0 && mean > 0 && float64(maxLeases) > 2*mean {
+		return fmt.Errorf("load: shard imbalance: max +%d leases against mean %.1f (uniform affine load must stay within 2x)", maxLeases, mean)
 	}
 	if *sloP99 > 0 {
 		if p99 := time.Duration(latRep.P99NS); p99 > *sloP99 {
@@ -645,24 +267,366 @@ func runLoad(args []string) error {
 	return nil
 }
 
-// loadReport is the -report JSON artifact: the run's shape, throughput and
-// latency summary, plus the SLO verdict when a budget was set.
+// kind is one row of the request table: which requests it claims, and for
+// request i under scheme sc what to send and the outcome to expect.
+type kind struct {
+	name   string
+	claims func(i int) bool
+	build  func(i int, sc mte4jni.Scheme) (server.RunRequest, outcome)
+	serial bool // its outcomes depend on strict request order
+}
+
+// every claims each k-th request, counting from 1; k <= 0 claims none.
+func every(k *int) func(int) bool {
+	return func(i int) bool { return *k > 0 && (i+1)%*k == 0 }
+}
+
+// requestKinds builds the request table in precedence order — reject >
+// temporal > cancel > deadline > attack > fault > workload > safe — and
+// registers each row's flag on fs.
+func requestKinds(fs *flag.FlagSet) []*kind {
+	type prepared struct {
+		req  server.RunRequest
+		want outcome
+	}
+	prepare := func(p *analysis.Program, scheme string, want outcome) prepared {
+		raw, err := analysis.MarshalProgram(p)
+		if err != nil {
+			panic(err) // the built-in programs always marshal
+		}
+		return prepared{server.RunRequest{Scheme: scheme, Program: raw}, want}
+	}
+	// The reject corpus: provably-faulting programs the fault screen must
+	// turn away with a structured verdict; reject_forge's forged store also
+	// carries a window-risk temporal finding.
+	var rejects []prepared
+	for _, name := range pool.BadProgramNames {
+		d := deltas{"screened_total": one, "screen_rejected_total": one}
+		if name == "reject_forge" {
+			d["temporal_flagged_total"], d[classField(analysis.WindowRisk)] = one, one
+		}
+		rejects = append(rejects, prepare(pool.BadProgram(name), "", outcome{status: http.StatusUnprocessableEntity, rule: analysis.RuleNativeFault, deltas: d}))
+	}
+	// The temporal corpus: four red-team shapes, each under the scheme whose
+	// checker is exposed to it. Three are provable faults; the lost update is
+	// rejected by the server's default -temporal-policy reject.
+	byName := map[string]redteam.CorpusProgram{}
+	for _, cp := range redteam.CorpusPrograms() {
+		byName[cp.Name] = cp
+	}
+	var temporal []prepared
+	for _, name := range []string{"async-window/damage", "gc-race/scan-window", "guardedcopy/oob-read", "guardedcopy/lost-update"} {
+		cp, ok := byName[name]
+		if !ok {
+			panic("load: red-team corpus has no " + name)
+		}
+		d := deltas{"screened_total": one, "temporal_flagged_total": one, classField(cp.WantClass): one}
+		want := outcome{status: http.StatusUnprocessableEntity, rule: analysis.RuleNativeFault, window: cp.WantClass, deltas: d}
+		if name == "guardedcopy/lost-update" {
+			want.rule, d["temporal_rejected_total"] = "", one
+		} else {
+			d["screen_rejected_total"] = one
+		}
+		temporal = append(temporal, prepare(cp.Program, cp.Scheme, want))
+	}
+	// The runaway for cancel and deadline injection, a countdown loop no sane
+	// budget lets finish. A cancel can land before the screen, the lease or
+	// the run, so each of those counts may stay put; the abort counts once.
+	spin := prepare(pool.SpinProgram(1<<40), "", outcome{})
+	canceled := prepared{spin.req, outcome{deltas: deltas{"canceled_total": one,
+		"requests_total": upToOne, "screened_total": upToOne, "pool.canceled_leases": upToOne}}}
+	deadlined := prepared{spin.req, outcome{status: http.StatusGatewayTimeout, abort: "deadline_exceeded",
+		deltas: deltas{"deadline_exceeded_total": one, "requests_total": one, "screened_total": one, "pool.canceled_leases": one}}}
+	fixed := func(p prepared) func(int, mte4jni.Scheme) (server.RunRequest, outcome) {
+		return func(int, mte4jni.Scheme) (server.RunRequest, outcome) { return p.req, p.want }
+	}
+
+	rejectEvery := fs.Int("reject-rate", 0, "make every k-th request a known-bad inline program the admission screen must reject with 422 (0 = never; wins over every other rate)")
+	temporalEvery := fs.Int("temporal-rate", 0, "make every k-th request a red-team corpus program under its risky scheme, which the temporal screen must flag — and, for the policy-rejected shapes, 422 with the provenance chain (0 = never)")
+	cancelEvery := fs.Int("cancel-rate", 0, "make every k-th request a runaway spin program whose connection the client abandons after 50ms (0 = never; the server must count it canceled_total and recycle the lease)")
+	deadlineEvery := fs.Int("deadline-rate", 0, "make every k-th request a runaway spin program the server's -run-timeout must cut off with 504 (0 = never)")
+	attackEvery := fs.Int("attack-rate", 0, "make every k-th request the canned red-team attack probe as tenant \"redteam\" (0 = never; requires -c 1)")
+	delayAt := fs.Int("attack-delay-threshold", 0, "mirror of the server's -attack-delay-threshold so the client replicates the escalation state machine for exact reconciliation")
+	quarantineAt := fs.Int("attack-quarantine-threshold", 0, "mirror of the server's -attack-quarantine-threshold")
+	faultEvery := fs.Int("fault-every", 0, "make every k-th request the canned one-past-the-end store: silent under none, a release-time canary error under guarded, a fault and quarantine under sync and async (0 = never)")
+	workload := fs.String("workload", "", "run this built-in workload instead of the canned safe probe")
+	// detected replicates the server's detected-fault count for tenant
+	// "redteam"; the attack row is serial, so plain state is race-free.
+	detected := 0
+
+	return []*kind{
+		{name: "reject", claims: every(rejectEvery), build: func(i int, _ mte4jni.Scheme) (server.RunRequest, outcome) {
+			return rejects[i%len(rejects)].req, rejects[i%len(rejects)].want
+		}},
+		{name: "temporal", claims: every(temporalEvery), build: func(i int, _ mte4jni.Scheme) (server.RunRequest, outcome) {
+			// Round-robin by injection ordinal: every shape gets an even share.
+			p := temporal[((i+1) / *temporalEvery - 1)%len(temporal)]
+			return p.req, p.want
+		}},
+		{name: "cancel", claims: every(cancelEvery), build: fixed(canceled)},
+		{name: "deadline", claims: every(deadlineEvery), build: fixed(deadlined)},
+		{name: "attack", claims: every(attackEvery), serial: true, build: func(_ int, sc mte4jni.Scheme) (server.RunRequest, outcome) {
+			// One forged-tag store: detected exactly under MTE, landing silently
+			// otherwise. The tier it meets follows from the detections before it.
+			req := server.RunRequest{Canned: "attack", Tenant: "redteam"}
+			if *quarantineAt > 0 && detected >= *quarantineAt {
+				return req, outcome{status: http.StatusTooManyRequests}
+			}
+			d := deltas{"requests_total": one, "attack_probes_total": one}
+			if *delayAt > 0 && detected >= *delayAt {
+				d["pool.throttled_total"] = one
+			}
+			if !sc.MTE() {
+				return req, outcome{status: http.StatusOK, ok: true, ret: 1, deltas: d}
+			}
+			d["detections_total"], d["faults_total"], d["pool.quarantined"] = one, one, one
+			// Reaching a threshold crosses a tier and reseeds; the delay tier is
+			// only entered below the quarantine one.
+			detected++
+			switch {
+			case detected == *quarantineAt:
+				d["pool.reseeds_total"], d["pool.tenants_quarantined_total"] = one, one
+			case detected == *delayAt && (*quarantineAt == 0 || *delayAt < *quarantineAt):
+				d["pool.reseeds_total"] = one
+			}
+			return req, outcome{status: http.StatusOK, fault: true, deltas: d}
+		}},
+		{name: "oob", claims: every(faultEvery), build: func(_ int, sc mte4jni.Scheme) (server.RunRequest, outcome) {
+			// The paper's question asked of one illicit native write, a
+			// one-past-the-end store: with no protection it lands silently,
+			// guarded copy finds the smashed red-zone canary only at release
+			// (§2.3), and MTE faults at the store and quarantines the session.
+			req := server.RunRequest{Canned: "oob"}
+			switch {
+			case sc.MTE():
+				return req, outcome{status: http.StatusOK, fault: true,
+					deltas: deltas{"requests_total": one, "faults_total": one, "pool.quarantined": one}}
+			case sc == mte4jni.GuardedCopy:
+				return req, outcome{status: http.StatusOK, errHas: "RuntimeException",
+					deltas: deltas{"requests_total": one, "errors_total": one}}
+			}
+			return req, outcome{status: http.StatusOK, ok: true, ret: 42, deltas: deltas{"requests_total": one}}
+		}},
+		{name: "workload", claims: func(int) bool { return *workload != "" }, build: func(int, mte4jni.Scheme) (server.RunRequest, outcome) {
+			return server.RunRequest{Workload: *workload}, outcome{status: http.StatusOK, ok: true, ret: 1, deltas: deltas{"requests_total": one}}
+		}},
+		// The safe probe is screened provably safe, so it runs with its one
+		// proven site guard-free.
+		{name: "safe", claims: func(int) bool { return true }, build: fixed(prepared{server.RunRequest{Canned: "safe"},
+			outcome{status: http.StatusOK, ok: true, ret: 42, elided: 1, deltas: deltas{"requests_total": one, "elided_sites_total": one}}})},
+	}
+}
+
+// classField is the /metrics counter of a temporal window class.
+func classField(c analysis.WindowClass) string {
+	return "temporal_" + strings.ReplaceAll(string(c), "-", "_") + "_total"
+}
+
+// outcome is what one request must come back with, and the change in
+// /metrics it must cause.
+type outcome struct {
+	status int // 0: the client abandons the request, so there is no reply
+	ok     bool
+	ret    int64  // checked when ok
+	fault  bool   // a fault record is present
+	errHas string // the reply's error contains it (and is empty when ok)
+	abort  string
+	elided int // guard-free sites the run was bound with
+	// 422 replies: rule is the fault screen's deciding rule ("" when the
+	// temporal policy rejected the program), window the class its first
+	// temporal finding must carry, with the full four-step chain.
+	rule   string
+	window analysis.WindowClass
+	deltas deltas
+}
+
+// check compares one reply with the outcome.
+func (o outcome) check(status int, raw []byte) error {
+	if o.status == 0 {
+		return fmt.Errorf("abandoned runaway completed before the disconnect (status %d): cancel not injected", status)
+	}
+	if status != o.status {
+		return fmt.Errorf("status %d, want %d: %.200s", status, o.status, raw)
+	}
+	var r struct {
+		server.RunResponse
+		Verdict *analysis.ScreenVerdict `json:"verdict"`
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return fmt.Errorf("decoding reply: %w", err)
+	}
+	v := r.Verdict
+	switch {
+	case r.OK != o.ok || o.ok && (r.Ret != o.ret || r.Error != "") || (r.Fault != nil) != o.fault ||
+		!strings.Contains(r.Error, o.errHas) || r.Abort != o.abort || r.ElidedSites != o.elided || r.ElisionInvalidated:
+		return fmt.Errorf("reply ok=%v ret=%d fault=%v error=%q abort=%q elided=%d invalidated=%v (session %s), want ok=%v ret=%d fault=%v error naming %q abort=%q elided=%d",
+			r.OK, r.Ret, r.Fault != nil, r.Error, r.Abort, r.ElidedSites, r.ElisionInvalidated, r.Session, o.ok, o.ret, o.fault, o.errHas, o.abort, o.elided)
+	case status != http.StatusUnprocessableEntity:
+		return nil
+	case v == nil:
+		return fmt.Errorf("422 without a verdict: %.200s", raw)
+	case v.Rejected() != (o.rule != ""):
+		return fmt.Errorf("fault screen rejected=%v, want %v", v.Rejected(), o.rule != "")
+	case o.rule != "" && (v.Rule != o.rule || v.PC < 0 || v.Native == "" || len(v.Provenance) == 0):
+		return fmt.Errorf("422 without a structured %s verdict: %+v", o.rule, v)
+	case o.window == "":
+		return nil
+	case len(v.Temporal) == 0 || v.Temporal[0].Class != o.window:
+		return fmt.Errorf("temporal findings %+v, want class %q first", v.Temporal, o.window)
+	case len(v.Temporal[0].Chain) != 4:
+		return fmt.Errorf("provenance chain has %d steps, want the full 4: %q", len(v.Temporal[0].Chain), v.Temporal[0].Chain.String())
+	}
+	return nil
+}
+
+// span is an inclusive range [lo, hi] of a counter's change.
+type span struct{ lo, hi int64 }
+
+var one, upToOne = span{1, 1}, span{0, 1}
+
+// deltas maps /metrics fields, by dotted JSON name ("pool.quarantined"), to
+// the range their change must fall in.
+type deltas map[string]span
+
+// add sums d's ranges into t.
+func (t deltas) add(d deltas) {
+	for f, s := range d {
+		t[f] = span{t[f].lo + s.lo, t[f].hi + s.hi}
+	}
+}
+
+// held lists every counter a request row can move: each is held to the
+// run's summed range, which is zero when no request names it.
+var held = []string{
+	"requests_total", "faults_total", "errors_total", "screened_total", "screen_rejected_total",
+	"canceled_total", "deadline_exceeded_total", "elided_sites_total", "elision_invalidated_total",
+	"temporal_flagged_total", "temporal_window_risk_total", "temporal_scan_race_total",
+	"temporal_guardedcopy_blindspot_total", "temporal_rejected_total", "attack_probes_total", "detections_total",
+	"pool.quarantined", "pool.canceled_leases", "pool.throttled_total", "pool.reseeds_total", "pool.tenants_quarantined_total",
+}
+
+// reconcile holds the change of every field want names, between two
+// flattened /metrics snapshots, to want's range for it. It reports every
+// mismatch, in field order, as the field, its change and the range.
+func reconcile(before, after map[string]int64, want deltas) error {
+	var bad []string
+	for _, f := range keys(want) {
+		a, ok := after[f]
+		if !ok {
+			bad = append(bad, f+": not in /metrics")
+		} else if got, w := a-before[f], want[f]; got < w.lo || got > w.hi {
+			bad = append(bad, fmt.Sprintf("%s: got %+d, want [%d, %d]", f, got, w.lo, w.hi))
+		}
+	}
+	if len(bad) > 0 {
+		return fmt.Errorf("load: /metrics does not reconcile: %s", strings.Join(bad, "; "))
+	}
+	return nil
+}
+
+// flatten maps every number of a JSON object, as an integer, to its dotted
+// name, nested objects extending the name; arrays are left out.
+func flatten(raw []byte) (map[string]int64, error) {
+	var doc map[string]any
+	err := json.Unmarshal(raw, &doc)
+	flat := map[string]int64{}
+	var walk func(prefix string, m map[string]any)
+	walk = func(prefix string, m map[string]any) {
+		for k, v := range m {
+			switch v := v.(type) {
+			case map[string]any:
+				walk(prefix+k+".", v)
+			case float64:
+				flat[prefix+k] = int64(v)
+			}
+		}
+	}
+	walk("", doc)
+	return flat, err
+}
+
+// keys returns m's keys in order.
+func keys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for f := range m {
+		names = append(names, f)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// fields formats m as " name=value" pairs in name order, zeros left out.
+func fields(m map[string]int64, verb string) string {
+	var b strings.Builder
+	for _, f := range keys(m) {
+		if m[f] != 0 {
+			fmt.Fprintf(&b, " %s="+verb, f, m[f])
+		}
+	}
+	return b.String()
+}
+
+// result is one request's record: what it sent and had to get, its
+// latency, and what went wrong: the exchange failed (transport) or the reply
+// differs from the outcome (wrong).
+type result struct {
+	req              server.RunRequest
+	want             outcome
+	latency          time.Duration
+	transport, wrong error
+}
+
+// send POSTs one /run request and returns the reply's status, body and
+// latency. A client whose timeout is abandonAfter walks away from the
+// connection mid-run, as a client that gives up does.
+func send(client *http.Client, url string, req server.RunRequest) (int, []byte, time.Duration, error) {
+	body, _ := json.Marshal(req) // plain fields and a program MarshalProgram wrote always marshal
+	start := time.Now()
+	resp, err := client.Post(url+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, time.Since(start), err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, time.Since(start), err
+}
+
+// getMetrics fetches /metrics, decoded and flattened.
+func getMetrics(client *http.Client, url string) (m server.MetricsResponse, flat map[string]int64, err error) {
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		return m, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
+	}
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
+	}
+	if err == nil {
+		flat, err = flatten(raw)
+	}
+	return m, flat, err
+}
+
+// loadReport is the -report JSON artifact: the run's shape, throughput,
+// verdict counts and latency summary, plus the SLO verdict when a budget
+// was set.
 type loadReport struct {
-	Requests        int           `json:"requests"`
-	Workers         int           `json:"workers,omitempty"` // closed loop only
-	OpenLoop        bool          `json:"open_loop"`
-	RateTargetRPS   float64       `json:"rate_target_rps,omitempty"`
-	RateAchievedRPS float64       `json:"rate_achieved_rps"`
-	WallNS          int64         `json:"wall_ns"`
-	OK              int           `json:"ok"`
-	Faulted         int           `json:"faulted"`
-	Rejected        int           `json:"rejected"`
-	Canceled        int           `json:"canceled"`
-	Deadlined       int           `json:"deadlined"`
-	TransportErrors int           `json:"transport_errors"`
-	Latency         latencyReport `json:"latency"`
-	SLOP99NS        int64         `json:"slo_p99_ns,omitempty"`
-	SLOP99Met       *bool         `json:"slo_p99_met,omitempty"`
+	Requests        int              `json:"requests"`
+	Workers         int              `json:"workers,omitempty"` // closed loop only
+	OpenLoop        bool             `json:"open_loop"`
+	RateTargetRPS   float64          `json:"rate_target_rps,omitempty"`
+	RateAchievedRPS float64          `json:"rate_achieved_rps"`
+	WallNS          int64            `json:"wall_ns"`
+	Verified        map[string]int64 `json:"verified"` // requests that met their outcome, by row
+	WrongVerdicts   int              `json:"wrong_verdicts"`
+	TransportErrors int              `json:"transport_errors"`
+	Latency         latencyReport    `json:"latency"`
+	SLOP99NS        int64            `json:"slo_p99_ns,omitempty"`
+	SLOP99Met       *bool            `json:"slo_p99_met,omitempty"`
 }
 
 // latencyReport summarises the latencies of the requests the server
@@ -681,324 +645,6 @@ type latencyReport struct {
 // it sorts in place.
 func summarizeLatency(lats []float64) latencyReport {
 	q := func(p float64) int64 { return int64(bench.Percentile(lats, p)) }
-	return latencyReport{
-		Count:  len(lats),
-		MeanNS: int64(bench.Mean(lats)),
-		P50NS:  q(50),
-		P90NS:  q(90),
-		P99NS:  q(99),
-		P999NS: q(99.9),
-		MaxNS:  q(100),
-	}
-}
-
-// loadOutcome is one request's client-side classification.
-type loadOutcome struct {
-	latency     time.Duration
-	faulted     bool
-	injected    bool
-	rejected    bool
-	canceled    bool
-	deadlined   bool
-	elidedSites int
-	invalidated bool
-	// Attack-probe classification: attacked marks a served probe,
-	// attackDetected that the scheme caught it, refused a 429 from the
-	// quarantine tier, throttled an admission the client expected to pay
-	// the delay-tier penalty.
-	attacked       bool
-	attackDetected bool
-	refused        bool
-	throttled      bool
-	// Temporal-screen classification: temporalClasses are the distinct
-	// window classes the response's verdict was flagged with (any screened
-	// submission can carry findings, including the bad-program corpus);
-	// temporalRejected marks a policy rejection — an exposed shape the fault
-	// screen admitted, counted in temporal_rejected_total rather than
-	// screen_rejected_total.
-	temporalClasses  []string
-	temporalRejected bool
-	err              error
-}
-
-// temporalClasses extracts the distinct window classes from a screen
-// verdict, mirroring the server's per-verdict set semantics for the
-// per-class temporal counters.
-func temporalClasses(v *analysis.ScreenVerdict) []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, f := range v.Temporal {
-		c := string(f.Class)
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// temporalEntry is one red-team corpus program the load generator submits
-// under its risky scheme, with the temporal verdict it holds the server to.
-type temporalEntry struct {
-	raw          []byte
-	scheme       string
-	class        string
-	policyReject bool
-}
-
-// fire sends one /run request and classifies the outcome. A response is an
-// error unless its verdict matches what was asked for: injected requests
-// must come back 200 with a structured fault report, reject submissions
-// must come back 422 with a structured screen verdict, and clean requests
-// must do neither.
-func fire(client *http.Client, base string, req server.RunRequest, injected, reject bool) (o loadOutcome) {
-	o.injected = injected
-	body, err := json.Marshal(req)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	start := time.Now()
-	resp, err := client.Post(base+"/run", "application/json", bytes.NewReader(body))
-	o.latency = time.Since(start)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	defer resp.Body.Close()
-	if reject {
-		o.rejected = resp.StatusCode == http.StatusUnprocessableEntity
-		if !o.rejected {
-			o.err = fmt.Errorf("bad program not rejected: status %d", resp.StatusCode)
-			return o
-		}
-		var rej server.RejectResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
-			o.err = fmt.Errorf("decoding 422 body: %w", err)
-			return o
-		}
-		v := rej.Verdict
-		if v == nil || !v.Rejected() || v.PC < 0 || v.Native == "" || len(v.Provenance) == 0 {
-			o.err = fmt.Errorf("422 without a structured verdict: %+v", rej)
-			return o
-		}
-		o.temporalClasses = temporalClasses(v)
-		return o
-	}
-	var out server.RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		o.err = fmt.Errorf("decoding response (status %d): %w", resp.StatusCode, err)
-		return o
-	}
-	if resp.StatusCode != http.StatusOK {
-		o.err = fmt.Errorf("status %d", resp.StatusCode)
-		return o
-	}
-	o.faulted = out.Fault != nil
-	o.elidedSites = out.ElidedSites
-	o.invalidated = out.ElisionInvalidated
-	if injected && out.Fault == nil {
-		o.err = fmt.Errorf("injected fault came back clean (session %s)", out.Session)
-	}
-	if !injected && out.Fault != nil {
-		o.err = fmt.Errorf("unexpected fault on session %s: %s", out.Session, out.Fault.Signature)
-	}
-	if !injected && out.Error != "" {
-		o.err = fmt.Errorf("session %s: %s", out.Session, out.Error)
-	}
-	// The canned safe probe is screened VerdictSafe, so its proofs must have
-	// compiled into at least one guard-free site; a fully checked safe run
-	// means the elision pipeline silently fell apart.
-	if req.Canned == "safe" && o.err == nil {
-		if out.ElidedSites == 0 {
-			o.err = fmt.Errorf("session %s: safe probe ran fully checked: no elided sites in response", out.Session)
-		}
-		if out.ElisionInvalidated {
-			o.err = fmt.Errorf("session %s: safe probe's elision proofs were invalidated mid-run", out.Session)
-		}
-	}
-	return o
-}
-
-// fireCancel sends a runaway /run request and abandons the connection after
-// cancelAfter, simulating a client that walks away mid-run. Success is the
-// client-side context error: the server never gets to answer. If a response
-// does come back the runaway finished before the disconnect — either the
-// server is missing -run-timeout/-step-budget headroom or the spin was too
-// short — and the outcome is an error because the server will not have
-// counted a cancel.
-func fireCancel(client *http.Client, base string, req server.RunRequest, cancelAfter time.Duration) (o loadOutcome) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), cancelAfter)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/run", bytes.NewReader(body))
-	if err != nil {
-		o.err = err
-		return o
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	start := time.Now()
-	resp, err := client.Do(hreq)
-	o.latency = time.Since(start)
-	if err == nil {
-		resp.Body.Close()
-		o.err = fmt.Errorf("abandoned runaway completed before the disconnect (status %d): cancel not injected", resp.StatusCode)
-		return o
-	}
-	o.canceled = true
-	return o
-}
-
-// fireAttack sends one canned attack probe as the red-team tenant and
-// holds the server to the deterministic script: a quarantined tenant gets
-// exactly 429, an admitted probe gets 200 with a fault verdict matching
-// the scheme (detected under MTE, landed silently otherwise).
-func fireAttack(client *http.Client, base string, req server.RunRequest, expectDetect, expect429 bool) (o loadOutcome) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	start := time.Now()
-	resp, err := client.Post(base+"/run", "application/json", bytes.NewReader(body))
-	o.latency = time.Since(start)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	defer resp.Body.Close()
-	if expect429 {
-		if resp.StatusCode != http.StatusTooManyRequests {
-			o.err = fmt.Errorf("quarantined tenant not refused: status %d, want 429", resp.StatusCode)
-			return o
-		}
-		o.refused = true
-		return o
-	}
-	var out server.RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		o.err = fmt.Errorf("decoding response (status %d): %w", resp.StatusCode, err)
-		return o
-	}
-	if resp.StatusCode != http.StatusOK {
-		o.err = fmt.Errorf("attack probe: status %d", resp.StatusCode)
-		return o
-	}
-	o.attacked = true
-	o.attackDetected = out.Fault != nil
-	if o.attackDetected != expectDetect {
-		o.err = fmt.Errorf("attack probe verdict off on session %s: detected=%v, scheme predicts %v",
-			out.Session, o.attackDetected, expectDetect)
-	}
-	return o
-}
-
-// fireTemporal submits one red-team corpus program under its risky scheme
-// and requires the 422 to carry the temporal evidence: a finding of the
-// expected window class with the full alloc → acquire → interfering-write →
-// late-check provenance chain. The provably-faulting shapes ride the
-// ordinary screen rejection; the policy-rejected shapes must come back with
-// a clean fault verdict and the temporal policy as the sole reason.
-func fireTemporal(client *http.Client, base string, req server.RunRequest, te temporalEntry) (o loadOutcome) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	start := time.Now()
-	resp, err := client.Post(base+"/run", "application/json", bytes.NewReader(body))
-	o.latency = time.Since(start)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		o.err = fmt.Errorf("temporal corpus program (%s under %s) not rejected: status %d", te.class, te.scheme, resp.StatusCode)
-		return o
-	}
-	var rej server.RejectResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rej); err != nil {
-		o.err = fmt.Errorf("decoding 422 body: %w", err)
-		return o
-	}
-	v := rej.Verdict
-	if v == nil || len(v.Temporal) == 0 {
-		o.err = fmt.Errorf("422 without temporal findings: %+v", rej)
-		return o
-	}
-	f := v.Temporal[0]
-	if string(f.Class) != te.class {
-		o.err = fmt.Errorf("temporal class %q, want %q", f.Class, te.class)
-		return o
-	}
-	if len(f.Chain) != 4 {
-		o.err = fmt.Errorf("provenance chain has %d steps, want the full 4: %q", len(f.Chain), f.Chain.String())
-		return o
-	}
-	o.temporalClasses = temporalClasses(v)
-	if te.policyReject {
-		if v.Rejected() {
-			o.err = fmt.Errorf("policy-reject shape %q came back as a fault verdict", te.class)
-			return o
-		}
-		o.temporalRejected = true
-	} else {
-		if !v.Rejected() {
-			o.err = fmt.Errorf("provably-faulting shape %q not rejected by the fault screen", te.class)
-			return o
-		}
-		o.rejected = true
-	}
-	return o
-}
-
-// fireDeadline sends a runaway /run request and requires the server's
-// -run-timeout to cut it off: a 504 carrying abort="deadline_exceeded".
-func fireDeadline(client *http.Client, base string, req server.RunRequest) (o loadOutcome) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	start := time.Now()
-	resp, err := client.Post(base+"/run", "application/json", bytes.NewReader(body))
-	o.latency = time.Since(start)
-	if err != nil {
-		o.err = err
-		return o
-	}
-	defer resp.Body.Close()
-	var out server.RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		o.err = fmt.Errorf("decoding response (status %d): %w", resp.StatusCode, err)
-		return o
-	}
-	if resp.StatusCode != http.StatusGatewayTimeout || out.Abort != "deadline_exceeded" {
-		o.err = fmt.Errorf("runaway not cut off by -run-timeout: status %d abort=%q (is the server running with -run-timeout?)",
-			resp.StatusCode, out.Abort)
-		return o
-	}
-	o.deadlined = true
-	// The spin program has no elidable sites, but sum whatever the server
-	// reported so the reconciliation stays exact rather than assumed.
-	o.elidedSites = out.ElidedSites
-	o.invalidated = out.ElisionInvalidated
-	return o
-}
-
-func getJSON(client *http.Client, url string, out any) error {
-	resp, err := client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return latencyReport{Count: len(lats), MeanNS: int64(bench.Mean(lats)),
+		P50NS: q(50), P90NS: q(90), P99NS: q(99), P999NS: q(99.9), MaxNS: q(100)}
 }

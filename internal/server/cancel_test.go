@@ -70,8 +70,8 @@ func TestStepsExceededThroughServerPath(t *testing.T) {
 }
 
 // TestRunTimeoutCutsOffRunawayProgram pins the -run-timeout behaviour: a
-// runaway inline program is cut off by wall-clock deadline — far before its
-// step budget — with a 504 and abort="deadline_exceeded", and the lease is
+// runaway inline program is cut off by wall-clock deadline — not by its step
+// budget — with a 504 and abort="deadline_exceeded", and the lease is
 // counted dirty.
 func TestRunTimeoutCutsOffRunawayProgram(t *testing.T) {
 	s, ts := testServer(t, Config{
@@ -79,20 +79,16 @@ func TestRunTimeoutCutsOffRunawayProgram(t *testing.T) {
 		StepBudget: 1 << 40, // the deadline, not fuel, must end the run
 		Pool:       pool.Config{MaxSessions: 1},
 	})
-	start := time.Now()
 	code, out := doRun(t, ts.URL, spinRequest(t, 1<<40))
-	elapsed := time.Since(start)
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", code)
 	}
 	if out.Abort != "deadline_exceeded" || out.OK {
 		t.Fatalf("response: %+v", out)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("run-timeout took %v: cut off by MaxSteps, not wall clock", elapsed)
-	}
+	// The deadline, not fuel, ended the run.
 	snap := s.Sink().Snapshot()
-	if snap.DeadlineExceededTotal != 1 || snap.FaultsTotal != 0 {
+	if snap.DeadlineExceededTotal != 1 || snap.StepsExceededTotal != 0 || snap.FaultsTotal != 0 {
 		t.Fatalf("metrics: %+v", snap)
 	}
 	st := s.Pool().Stats()

@@ -3,14 +3,14 @@
 #
 # Builds the CLI, starts `mte4jni serve` on an ephemeral port with the full
 # 64-session pool, drives it with `mte4jni load` (a mixed run with injected
-# faults, a 64-worker full-capacity burst, an admission-screening run), and
-# checks that the daemon shuts down cleanly on SIGTERM; then does the same
-# for three more daemons: the execution-context spine, temporal screening,
-# and 8 admission shards (closed-loop and open-loop SLO-gated runs). The
-# load generator fails on any verdict mismatch or metrics discrepancy, so a
-# zero exit here means: every injected fault came back as a structured
-# report, no clean request faulted, and the server-side counters reconcile
-# with what was sent.
+# faults, a 64-worker full-capacity burst, an admission-screening run, and
+# the injected store under none and guarded copy), and checks that the
+# daemon shuts down cleanly on SIGTERM; then does the same for three more
+# daemons: the execution-context spine, temporal screening, and 8 admission
+# shards (closed-loop and open-loop SLO-gated runs). The load generator
+# fails on any verdict mismatch or metrics discrepancy, so a zero exit here
+# means: every injected store met its scheme's outcome, no clean request
+# faulted, and the server-side counters reconcile with what was sent.
 set -eu
 
 GO="${GO:-go}"
@@ -93,6 +93,14 @@ if command -v curl >/dev/null 2>&1; then
 	fi
 fi
 
+# The same illicit one-past-the-end store under the two schemes without
+# tags: with no protection it lands silently (200, ok, ret 42), and guarded
+# copy only finds the smashed canary at release (200, ok:false, an error
+# naming RuntimeException, +1 errors_total, no fault and no quarantine).
+# Both run after the cumulative pins above, which they would move.
+"$BIN" load -url "$URL" -n 40 -c 8 -scheme none -fault-every 10
+"$BIN" load -url "$URL" -n 40 -c 8 -scheme guarded -fault-every 10
+
 # Graceful shutdown: SIGTERM must produce a clean exit 0.
 stop_daemon
 
@@ -163,7 +171,7 @@ REPORT="$TMP/report.json"
 "$BIN" load -url "$URL" -n 120 -c 8 -rate 400 -tenants 8 -slo-p99 2s -report "$REPORT"
 
 for want in '"p99_ns"' '"p999_ns"' '"slo_p99_met": true' '"open_loop": true' \
-	'"ok": 120'; do
+	'"safe": 120'; do
 	if ! grep -q "$want" "$REPORT"; then
 		echo "serve-smoke: load report missing $want:" >&2
 		cat "$REPORT" >&2
@@ -212,4 +220,4 @@ else
 	echo "serve-smoke: shard scaling speedup gate skipped (it needs >= 4 CPUs, this host has $CPUS); non-regression held (shards=1 $NS1 ns/op, shards=8 $NS8 ns/op)"
 fi
 
-echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag and data residency >=10x under flat and mapped, 12 temporal corpus programs flagged with 3 policy rejections, 128 closed-loop + 120 open-loop requests reconciled exactly across 8 shards under the p99 SLO, clean shutdown)"
+echo "serve-smoke: ok (287 + 37 requests, 24 injected faults detected, 80 none/guarded requests with 4 silent stores and 4 canary errors at release, 18 bad programs screened out, 8 cancels + 4 deadlines reconciled, 267 + 21 guard-free sites with zero proof invalidations, tag and data residency >=10x under flat and mapped, 12 temporal corpus programs flagged with 3 policy rejections, 128 closed-loop + 120 open-loop requests reconciled exactly across 8 shards under the p99 SLO, clean shutdown)"
